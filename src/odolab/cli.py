@@ -55,11 +55,6 @@ def _slug(identifier: str) -> str:
     return "".join(c if c.isalnum() or c in "-." else "_" for c in identifier)
 
 
-def _check_backend_flag(spec: SystemSpec, flag: str) -> None:
-    if flag and flag != spec.backend:
-        raise SystemExit(2)
-
-
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import UnknownTheorem
+from .errors import OdolabError, UnknownTheorem
 from .scalars import Scalar, format_scalar, is_exact
 from .space import SHIFT, SystemSpec
 
@@ -519,7 +519,7 @@ def _rule_hc_drop_hoeffding(spec, horizon, params):
                     "indices": list(plan.indices[:8]),
                     "gap_sum": float(plan.gap_sum),
                     "hoeffding_bound": plan.hoeffding_bound}
-    except Exception as exc:    # StrategyInfeasible and friends
+    except OdolabError as exc:    # StrategyInfeasible and friends
         status = INCONCLUSIVE
         evidence = {"reason": str(exc)}
     return Verdict(criterion="hc-drop-hoeffding", status=status,
@@ -605,20 +605,23 @@ def _usable_sites(spec, idx_h, size_cap=1 << 13):
     return sites
 
 
-def _rule_hc_translation_gamma(spec, horizon, params):
-    idx_h = params.get("index_horizon", min(horizon, 12))
-    sites = _usable_sites(spec, idx_h)
-    float_w = {i: [float(x) for x in spec.mu(i)] for i in sites}
-    vals = [max(_alpha_float(float_w[i], n) for i in sites)
-            for n in range(1, horizon + 1)]
-    sup = max(vals)
-    ok = sup >= 1 - params.get("slack", EVAL_NEAR_ONE)
-    return Verdict(criterion="hc-translation-gamma",
-                   status=SATISFIED if ok else INCONCLUSIVE,
-                   mode="numeric-horizon",
-                   evidence={"sup": sup, "values_tail": vals[-5:],
-                             "note": "gamma_n is horizon-limited in i"},
-                   params=params)
+def _translation_gamma(name: str):
+    """The gamma_n rule; hc and mixing read the same values, so one body."""
+    def rule(spec, horizon, params):
+        idx_h = params.get("index_horizon", min(horizon, 12))
+        sites = _usable_sites(spec, idx_h)
+        float_w = {i: [float(x) for x in spec.mu(i)] for i in sites}
+        vals = [max(_alpha_float(float_w[i], n) for i in sites)
+                for n in range(1, horizon + 1)]
+        sup = max(vals)
+        ok = sup >= 1 - params.get("slack", EVAL_NEAR_ONE)
+        return Verdict(criterion=name,
+                       status=SATISFIED if ok else INCONCLUSIVE,
+                       mode="numeric-horizon",
+                       evidence={"sup": sup, "values_tail": vals[-5:],
+                                 "note": "gamma_n is horizon-limited in i"},
+                       params=params)
+    return rule
 
 
 def _rule_hc_translation_hoeffding(spec, horizon, params):
@@ -781,8 +784,8 @@ _RULES = {
     "ufhc-odometer": _rule_ufhc_odometer,
     "ufhc-zero-heavy": _limsup_near_one("ufhc-zero-heavy",
                                         _seq_min_kappa_interval_eta),
-    "hc-translation-gamma": _rule_hc_translation_gamma,
-    "mixing-translation-gamma": _rule_hc_translation_gamma,
+    "hc-translation-gamma": _translation_gamma("hc-translation-gamma"),
+    "mixing-translation-gamma": _translation_gamma("mixing-translation-gamma"),
     "hc-translation-hoeffding": _rule_hc_translation_hoeffding,
     "hc-translation-coprime": _rule_hc_translation_coprime,
     "shift-salas": _rule_shift_salas,

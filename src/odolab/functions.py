@@ -10,32 +10,83 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Optional
+
+import numpy as np
 
 from .maps import InducedBijection
-from .scalars import Scalar, format_scalar, is_exact, scalar_sum
-from .space import SimpleFunction, SystemSpec, build_truncation
+from .scalars import Scalar, format_scalar, integer_view, is_exact, scalar_sum
+from .space import SimpleFunction, SystemSpec, TruncatedSpace, build_truncation
 
 
 def apply_composition(spec: SystemSpec, f: SimpleFunction, n: int = 1) -> SimpleFunction:
-    """(C^n f)(x) = f(map^n x): pull values back along the induced bijection."""
+    """(C^n f)(x) = f(map^n x): pull values back along the induced bijection.
+
+    Values held in a NumPy array are pulled as an array, a tuple as a tuple.
+    """
     if n < 0:
         raise ValueError("n must be >= 0")
     if n == 0:
         return f
-    bij = InducedBijection(spec, f.depth)
-    vals = f.values
-    new = tuple(vals[bij.forward(c, n)] for c in range(len(vals)))
-    return SimpleFunction(spec=spec, depth=f.depth, values=new)
+    index = InducedBijection(spec, f.depth).forward(np.arange(len(f.values)), n)
+    if isinstance(f.values, np.ndarray):
+        return SimpleFunction(spec=spec, depth=f.depth, values=f.values[index])
+    pulled = np.array(f.values, dtype=object)[index]
+    return SimpleFunction(spec=spec, depth=f.depth, values=tuple(pulled))
+
+
+def _integer_values(values) -> Optional[tuple]:
+    """integer_view of the values with the numerators as an array.
+
+    int64 when the numerators stay below 2**62 in size, so that differences
+    of two such arrays fit; Python ints otherwise.
+    """
+    view = integer_view(values)
+    if view is None:
+        return None
+    nums, den = view
+    small = max(map(abs, nums)) < 1 << 62
+    return np.array(nums, dtype=np.int64 if small else object), den
+
+
+def _lp_pow_integer(tr: TruncatedSpace, nums: np.ndarray, p: int) -> int:
+    """sum_c |nums_c|^p * (measure numerator of c), on an exact truncation.
+
+    Runs in int64 when max|nums|^p times the measure denominator stays below
+    2**63 (the measure numerators sum to that denominator), else on Python
+    ints.
+    """
+    measures, den = tr.measure_vector()
+    top = int(np.max(np.abs(nums)))
+    small = measures.dtype == np.int64 and top ** p * den < 1 << 63
+    dtype = np.int64 if small else object
+    nums, measures = nums.astype(dtype), measures.astype(dtype)
+    return int(np.dot(np.abs(nums) ** p, measures))
+
+
+def _lp_pow(tr: TruncatedSpace, values, p: int) -> Scalar:
+    """sum_c |v_c|^p mu(c): exact on exact values and measures, else fsum."""
+    den = tr.measure_vector()[1]
+    scaled = _integer_values(values) if den is not None else None
+    if scaled is None:
+        return scalar_sum(abs(v) ** p * tr.cell_measure(c)
+                          for c, v in enumerate(values) if v != 0)
+    nums, scale = scaled
+    return Fraction(_lp_pow_integer(tr, nums, p), scale ** p * den)
+
+
+def _lp_float(tr: TruncatedSpace, values, pf: float) -> float:
+    """Float enclosure of the L_p norm at a non-integer p."""
+    total = math.fsum(abs(float(v)) ** pf * float(tr.cell_measure(c))
+                      for c, v in enumerate(values) if v != 0)
+    return total ** (1.0 / pf)
 
 
 def lp_norm_pow(spec: SystemSpec, f: SimpleFunction, p: int = 1) -> Scalar:
     """The exact p-th power of the L_p norm (integer p >= 1)."""
     if p < 1 or int(p) != p:
         raise ValueError("lp_norm_pow needs an integer p >= 1")
-    tr = build_truncation(spec, f.depth)
-    return scalar_sum(abs(v) ** p * tr.cell_measure(c)
-                      for c, v in enumerate(f.values) if v != 0)
+    return _lp_pow(build_truncation(spec, f.depth), f.values, int(p))
 
 
 def lp_norm(spec: SystemSpec, f: SimpleFunction, p: Scalar = 1) -> float:
@@ -45,10 +96,7 @@ def lp_norm(spec: SystemSpec, f: SimpleFunction, p: Scalar = 1) -> float:
         raise ValueError("p must be >= 1")
     if pf == int(pf):
         return float(lp_norm_pow(spec, f, int(pf))) ** (1.0 / pf)
-    tr = build_truncation(spec, f.depth)
-    total = math.fsum(abs(float(v)) ** pf * float(tr.cell_measure(c))
-                      for c, v in enumerate(f.values) if v != 0)
-    return total ** (1.0 / pf)
+    return _lp_float(build_truncation(spec, f.depth), f.values, pf)
 
 
 def lp_distance_pow(spec: SystemSpec, f: SimpleFunction, g: SimpleFunction,
@@ -117,25 +165,41 @@ def orbit_trace(spec: SystemSpec, f: SimpleFunction, g: SimpleFunction,
 
     The eps-ball uses strict inequality.  Densities are #(visits in [1, m])/m;
     the tail diagnostics are their extremes over the second half of [1, H].
+    The truncation is built once.  On exact values and measures the iterates
+    are pulled as integer numerators by index arithmetic, so no Fraction is
+    built per cell.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    bij = InducedBijection(spec, f.depth)
-    vals = f.values
+    f._check_compatible(g)
+    tr = build_truncation(spec, f.depth)
+    exact_p = float(p) == int(float(p))
+    ip = int(float(p))
+    measure_den = tr.measure_vector()[1]
+    # f and g over one common scale: each distance is an integer sum over den
+    scaled = (_integer_values((*f.values, *g.values))
+              if exact_p and measure_den is not None else None)
+    if scaled is not None:
+        nums, scale = scaled
+        f_nums = SimpleFunction(spec, f.depth, nums[:len(f.values)])
+        g_nums = nums[len(f.values):]
+        den = scale ** ip * measure_den
     distances = []
     visit_set = []
-    exact_p = float(p) == int(float(p))
     for n in range(1, horizon + 1):
-        pulled = SimpleFunction(spec=spec, depth=f.depth,
-                                values=tuple(vals[bij.forward(c, n)]
-                                             for c in range(len(vals))))
-        if exact_p and spec.backend == "rational":
-            dpow = lp_distance_pow(spec, pulled, g, int(float(p)))
-            dist = float(dpow) ** (1.0 / float(p))
-            inside = dpow < Fraction(epsilon) ** int(float(p)) \
-                if is_exact(dpow) else dist < epsilon
+        if scaled is not None:
+            pulled = apply_composition(spec, f_nums, n).values
+            dpow = Fraction(_lp_pow_integer(tr, pulled - g_nums, ip), den)
         else:
-            dist = lp_distance(spec, pulled, g, p)
+            diff = apply_composition(spec, f, n) - g
+            dpow = _lp_pow(tr, diff.values, ip) if exact_p else None
+        if exact_p:
+            dist = float(dpow) ** (1.0 / float(p))
+            inside = (dpow < Fraction(epsilon) ** ip
+                      if spec.backend == "rational" and is_exact(dpow)
+                      else dist < epsilon)
+        else:
+            dist = _lp_float(tr, diff.values, float(p))
             inside = dist < epsilon
         distances.append(dist)
         if inside:

@@ -14,8 +14,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .errors import CapExceeded, CarryOverflow, UnresolvedTail
-from .scalars import Scalar, format_scalar, scalar_sum
+from .scalars import Scalar, format_scalar
 from .space import (ODOMETER, SHIFT, TRANSLATION, DepthSet, SystemSpec,
                     build_truncation, set_measure)
 
@@ -129,24 +131,26 @@ class InducedBijection:
     def cell_count(self) -> int:
         return self._radix[-1]
 
-    def forward(self, cell: int, n: int = 1) -> int:
-        """Index of (map^n)(cell)."""
-        M = self.cell_count
+    def forward(self, cell, n: int = 1):
+        """Index of (map^n)(cell); `cell` may be a NumPy array of indices.
+
+        The odometer rotates the indices by n; the translation adds n to
+        every digit independently.
+        """
         if self.spec.kind == ODOMETER:
-            return (cell + n) % M
-        # diagonal translation: add n to every digit independently
+            M = self.cell_count
+            return (cell + n % M) % M
         out = 0
         for m, w in zip(self._ms, self._radix):
             cell, d = divmod(cell, m)
-            out += ((d + n) % m) * w
+            out += ((d + n % m) % m) * w
         return out
 
-    def inverse(self, cell: int, n: int = 1) -> int:
-        return self.forward(cell, -n) if self.spec.kind == TRANSLATION \
-            else (cell - n) % self.cell_count
+    def inverse(self, cell, n: int = 1):
+        return self.forward(cell, -n)
 
     def as_permutation(self, n: int = 1) -> list:
-        return [self.forward(c, n) for c in range(self.cell_count)]
+        return self.forward(np.arange(self.cell_count), n).tolist()
 
     def order(self) -> int:
         """Least d >= 1 with map^d = identity on the truncation."""
@@ -166,16 +170,19 @@ def _carry_chain_measure(spec: SystemSpec, factors: Sequence, k: int,
     Forward addition only ever sends a carry upward, so a two-state chain in
     the carry (or borrow) bit computes the probability exactly in O(N * m).
     Digits of k beyond depth N cannot influence the first N output digits.
+    On exact specs the chain runs on integer numerators and builds one
+    Fraction at the end; with a float coordinate in the prefix the same loop
+    runs on the scalar weights.
     """
     depth = len(factors)
     digits = spec.digits_of(k, depth)
-    one = Fraction(1)
-    f0, f1 = one, Fraction(0)     # probability of (no carry, carry) pending
-    for i in range(1, depth + 1):
-        m = spec.m(i)
-        want = factors[i - 1]
-        d = digits[i - 1]
-        g0 = g1 = None
+    rows, exact = spec.weight_rows(depth)
+    zero = 0 if exact else Fraction(0)
+    f0, f1 = (1 if exact else Fraction(1)), zero   # (no carry, carry) pending
+    den = 1
+    for (weights, row_den), want, d in zip(rows, factors, digits):
+        m = len(weights)
+        g0 = g1 = zero
         for c, fin in ((0, f0), (1, f1)):
             if fin == 0:
                 continue
@@ -183,21 +190,20 @@ def _carry_chain_measure(spec: SystemSpec, factors: Sequence, k: int,
                 if subtract:
                     t = x - d - c
                     out_digit = t % m
-                    nxt = 1 if t < 0 else 0
+                    nxt = t < 0
                 else:
                     t = x + d + c
                     out_digit = t % m
-                    nxt = 1 if t >= m else 0
+                    nxt = t >= m
                 if want is not None and out_digit not in want:
                     continue
-                w = fin * spec.mu_weight(i, x)
-                if nxt == 0:
-                    g0 = w if g0 is None else g0 + w
+                if nxt:
+                    g1 = g1 + fin * weights[x]
                 else:
-                    g1 = w if g1 is None else g1 + w
-        f0 = g0 if g0 is not None else Fraction(0)
-        f1 = g1 if g1 is not None else Fraction(0)
-    return f0 + f1
+                    g0 = g0 + fin * weights[x]
+        f0, f1 = g0, g1
+        den *= row_den
+    return Fraction(f0 + f1, den) if exact else f0 + f1
 
 
 def odometer_pullback_measure(spec: SystemSpec, S: DepthSet, k: int) -> Scalar:
@@ -229,19 +235,13 @@ def preimage_measure(spec: SystemSpec, S: DepthSet, n: int) -> Scalar:
     """mu(map^-n(S)), exact (enumeration within cap, else product transport)."""
     if n == 0:
         return set_measure(spec, S)
-    if spec.kind == ODOMETER:
-        if S.is_product():
-            return odometer_pullback_measure(spec, S, n)
-        bij = InducedBijection(spec, S.depth)
-        tr = build_truncation(spec, S.depth)
-        return scalar_sum(tr.cell_measure(bij.inverse(c, n)) for c in S.cells)
-    if spec.kind == TRANSLATION:
-        if S.is_product():
-            return set_measure(spec, translation_set_shift(spec, S, n))
-        bij = InducedBijection(spec, S.depth)
-        tr = build_truncation(spec, S.depth)
-        return scalar_sum(tr.cell_measure(bij.inverse(c, n)) for c in S.cells)
-    raise ValueError("preimage_measure acts on product-space specs")
+    if spec.kind == ODOMETER and S.is_product():
+        return odometer_pullback_measure(spec, S, n)
+    if spec.kind == TRANSLATION and S.is_product():
+        return set_measure(spec, translation_set_shift(spec, S, n))
+    if spec.kind not in (ODOMETER, TRANSLATION):
+        raise ValueError("preimage_measure acts on product-space specs")
+    return _enumerated_image_measure(spec, S, -n)
 
 
 def forward_image_measure(spec: SystemSpec, S: DepthSet, n: int) -> Scalar:
@@ -252,10 +252,15 @@ def forward_image_measure(spec: SystemSpec, S: DepthSet, n: int) -> Scalar:
         return odometer_pushforward_measure(spec, S, n)
     if spec.kind == TRANSLATION and S.is_product():
         return set_measure(spec, translation_set_shift(spec, S, -n))
+    return _enumerated_image_measure(spec, S, n)
+
+
+def _enumerated_image_measure(spec: SystemSpec, S: DepthSet, n: int) -> Scalar:
+    """mu(map^n(S)) summed over the cells of S moved by n (n < 0 pulls back)."""
     bij = InducedBijection(spec, S.depth)
     tr = build_truncation(spec, S.depth)
-    cells = S.cells if S.cells is not None else S.to_cells()
-    return scalar_sum(tr.cell_measure(bij.forward(c, n)) for c in cells)
+    cells = np.fromiter(S.to_cells(), dtype=np.int64)
+    return tr.measure_of(bij.forward(cells, n))
 
 
 # ---------------------------------------------------------------------------

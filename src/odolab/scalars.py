@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Union
+from typing import Optional, Union
 
 Scalar = Union[Fraction, float]
 
@@ -18,10 +18,6 @@ FLOAT_TOL = 1e-12
 
 def is_exact(x: Scalar) -> bool:
     return isinstance(x, (Fraction, int))
-
-
-def to_float(x: Scalar) -> float:
-    return float(x)
 
 
 def parse_scalar(text: str) -> Scalar:
@@ -46,17 +42,15 @@ def format_scalar(x: Scalar) -> str:
     return f"{float(x):.15g}"
 
 
-def le_with_tol(lhs: Scalar, rhs: Scalar, tol: float = FLOAT_TOL) -> bool:
-    """lhs <= rhs, exact when both sides are rational, else within tol."""
-    if is_exact(lhs) and is_exact(rhs):
-        return lhs <= rhs
-    return float(lhs) <= float(rhs) + tol
+def integer_view(values) -> Optional[tuple]:
+    """(numerators, denominator) of exact values over their lcm denominator.
 
-
-def ge_with_tol(lhs: Scalar, rhs: Scalar, tol: float = FLOAT_TOL) -> bool:
-    if is_exact(lhs) and is_exact(rhs):
-        return lhs >= rhs
-    return float(lhs) >= float(rhs) - tol
+    None when any value is a float.
+    """
+    if not all(is_exact(v) for v in values):
+        return None
+    den = math.lcm(*{v.denominator for v in values})
+    return tuple(v.numerator * (den // v.denominator) for v in values), den
 
 
 def scalar_sum(values) -> Scalar:
@@ -65,12 +59,3 @@ def scalar_sum(values) -> Scalar:
     if all(is_exact(v) for v in vals):
         return sum(vals, Fraction(0))
     return math.fsum(float(v) for v in vals)
-
-
-def pow_fraction(base: Scalar, k: int) -> Scalar:
-    """base**k for integer k >= 0, exact when base is rational."""
-    if k < 0:
-        raise ValueError("negative exponent")
-    if isinstance(base, Fraction):
-        return base ** k
-    return float(base) ** k

@@ -14,15 +14,21 @@ operations reject them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
+import numpy as np
+
 from .errors import CapExceeded
-from .scalars import FLOAT_TOL, Scalar, is_exact, scalar_sum
+from .scalars import FLOAT_TOL, Scalar, integer_view, is_exact, scalar_sum
 
 ENUM_CAP = 1 << 24          # default cell cap for truncation enumeration
 VECTOR_CAP = 1 << 16        # cap for materializing one coordinate's weights
+# Coordinates a spec keeps memoised; past this the memo starts over.  Deep
+# transports and truncations use far fewer, and a scan over thousands of
+# indices, each used a few times, holds no more memory than this.
+COORD_MEMO_CAP = 256
 GEOM_EXACT_CAP = 512        # longest geometric ramp kept in exact rationals
 
 ODOMETER = "odometer"
@@ -122,9 +128,13 @@ class MeasureFamily:
     Subclasses either materialize the whole vector (small alphabets) or expose
     a piecewise-geometric description (huge alphabets).  `backend` declares
     whether weights are exact rationals ("rational") or floats ("float").
+    `materialized` says that `weight(i, m, j)` is `weights(i, m)[j % m]`, so
+    SystemSpec may keep the vector; piecewise families set it False and keep
+    no vector.
     """
 
     name: str = ""
+    materialized: bool = True
 
     def __init__(self, params: dict):
         self.params = dict(params)
@@ -403,6 +413,7 @@ class RampMeasure(MeasureFamily):
     """
 
     name = "ramp"
+    materialized = False
 
     def __init__(self, params):
         super().__init__(params)
@@ -411,6 +422,8 @@ class RampMeasure(MeasureFamily):
         self.delta_rule = params["delta"]
         self.select_rule = params.get("select", "all")
         self._alphabet: Optional[AlphabetRule] = None  # set by SystemSpec
+        # (i, m) -> pieces; an exact ramp costs a rho**n with huge denominators
+        self._pieces: dict[tuple, tuple] = {}
 
     def bind_alphabet(self, rule: AlphabetRule):
         self._alphabet = rule
@@ -454,12 +467,18 @@ class RampMeasure(MeasureFamily):
     def _exact(self, i: int, n: int) -> bool:
         return n <= GEOM_EXACT_CAP
 
-    def pieces(self, i: int, m: int) -> list[tuple[int, int, Scalar, Scalar]]:
-        """[(start, length, first_weight, ratio)] in position order."""
+    def pieces(self, i: int, m: int) -> tuple[tuple[int, int, Scalar, Scalar], ...]:
+        """((start, length, first_weight, ratio), ...) in position order."""
+        key = (i, m)
+        if key not in self._pieces:
+            self._pieces[key] = self._build_pieces(i, m)
+        return self._pieces[key]
+
+    def _build_pieces(self, i: int, m: int) -> tuple:
         n = self.ramp_len(i, m) if self.selected(i) else 0
         if n == 0:
             u = Fraction(1, m)
-            return [(0, m, u, Fraction(1))]
+            return ((0, m, u, Fraction(1)),)
         delta = self.delta_value(i)
         if self._exact(i, n):
             rho = 1 + delta
@@ -480,13 +499,13 @@ class RampMeasure(MeasureFamily):
             # machine epsilon); keep the log so powers stay honest
             inv = _GeomRatio(-log_rho)
         if self.layout == "tail":
-            return [(0, m - n, eps, _one_like(eps)),
-                    (m - n, n, top, inv)]
+            return ((0, m - n, eps, _one_like(eps)),
+                    (m - n, n, top, inv))
         if self.layout == "mid":
             head = m - 2 * n
-            return [(0, head, eps, _one_like(eps)),
+            return ((0, head, eps, _one_like(eps)),
                     (head, n, top, inv),
-                    (head + n, n, eps, _one_like(eps))]
+                    (head + n, n, eps, _one_like(eps)))
         raise ValueError(f"unknown layout {self.layout!r}")
 
     @property
@@ -656,13 +675,32 @@ class ShiftWeights:
 # SystemSpec
 # ---------------------------------------------------------------------------
 
+_UNSET = object()
+
+
+class _Coord:
+    """Memoised view of one coordinate, filled in as it is first used.
+
+    `weights` stays None for families that keep no vector; `ints` is the
+    integer form of the weights, (numerators, lcm denominator), or None when
+    a weight is a float.
+    """
+
+    __slots__ = ("m", "weights", "ints")
+
+    def __init__(self, m: int):
+        self.m = m
+        self.weights = None
+        self.ints = _UNSET
+
+
 @dataclass
 class SystemSpec:
     """Full description of one dynamical system.
 
     kind is "odometer", "diagonal-translation" or "weighted-shift".  Product
     kinds carry an alphabet rule and a measure family; the shift kind carries
-    an index set and shift weights.
+    an index set and shift weights.  Coordinates are memoised on first use.
     """
 
     kind: str
@@ -672,6 +710,8 @@ class SystemSpec:
     shift_weights: Optional[ShiftWeights] = None
     gallery_id: Optional[str] = None
     enum_cap: int = ENUM_CAP
+    _coords: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
 
     def __post_init__(self):
         if self.kind in (ODOMETER, TRANSLATION):
@@ -692,17 +732,60 @@ class SystemSpec:
         if self.kind == SHIFT:
             raise ValueError("product-space operation on a weighted-shift spec")
 
+    def _coord(self, i: int) -> _Coord:
+        coord = self._coords.get(i)
+        if coord is None:
+            self._product_only()
+            if len(self._coords) >= COORD_MEMO_CAP:
+                self._coords.clear()
+            coord = self._coords[i] = _Coord(self.alphabet.m(i))
+        return coord
+
     def m(self, i: int) -> int:
-        self._product_only()
-        return self.alphabet.m(i)
+        return self._coord(i).m
 
     def mu(self, i: int) -> tuple:
-        self._product_only()
-        return self.measure.weights(i, self.m(i))
+        coord = self._coord(i)
+        if coord.weights is not None:
+            return coord.weights
+        weights = self.measure.weights(i, coord.m)
+        if self.measure.materialized:
+            coord.weights = weights
+        return weights
 
     def mu_weight(self, i: int, j: int) -> Scalar:
-        self._product_only()
-        return self.measure.weight(i, self.m(i), j)
+        coord = self._coord(i)
+        if self.measure.materialized:
+            return (coord.weights or self.mu(i))[j % coord.m]
+        return self.measure.weight(i, coord.m, j)
+
+    def integer_weights(self, i: int) -> Optional[tuple]:
+        """(numerators, denominator) of mu_i over the lcm of its denominators.
+
+        None when any weight is a float.  The exact kernels multiply these
+        integers and build one Fraction at the end.
+        """
+        coord = self._coord(i)
+        if coord.ints is _UNSET:
+            ints = integer_view(self.mu(i))
+            if not self.measure.materialized:
+                return ints
+            coord.ints = ints
+        return coord.ints
+
+    def weight_rows(self, depth: int) -> tuple[list, bool]:
+        """Per-coordinate (weights, denominator) rows for i = 1 .. depth.
+
+        When every coordinate is exact the rows are integer numerators and
+        the flag is True.  Otherwise they are the scalars mu_weight(i, j)
+        over 1, so a kernel run on them does the per-symbol scalar
+        arithmetic, operation for operation.
+        """
+        rows = [self.integer_weights(i) for i in range(1, depth + 1)]
+        if all(r is not None for r in rows):
+            return rows, True
+        return [(tuple(self.mu_weight(i, j) for j in range(self.m(i))), 1)
+                for i in range(1, depth + 1)], False
 
     def eta(self, i: int) -> Scalar:
         self._product_only()
@@ -826,6 +909,8 @@ class TruncatedSpace:
     depth: int
     ms: tuple
     radix: tuple            # (M_1, ..., M_{depth+1})
+    _vector: Optional[tuple] = field(default=None, init=False, repr=False,
+                                     compare=False)
 
     @property
     def cell_count(self) -> int:
@@ -846,32 +931,44 @@ class TruncatedSpace:
             total += d * M
         return total
 
+    def measure_vector(self) -> tuple:
+        """(values, den): the measures of all cells in index order, built once.
+
+        On exact specs the values are integer numerators over den, the
+        product of the per-coordinate denominators: int64 when den < 2**63,
+        Python ints otherwise.  With a float coordinate they are the scalar
+        cell measures themselves and den is None.  Built as an outer product
+        coordinate by coordinate, one multiplication per entry.
+        """
+        if self._vector is None:
+            rows, exact = self.spec.weight_rows(self.depth)
+            den = math.prod(d for _, d in rows)
+            dtype = np.int64 if exact and den < 1 << 63 else object
+            values = np.ones(1, dtype=dtype)
+            for row, _ in rows:
+                values = np.multiply.outer(np.array(row, dtype=dtype),
+                                           values).ravel()
+            self._vector = (values, den if exact else None)
+        return self._vector
+
+    def measure_of(self, cells) -> Scalar:
+        """Exact measure of a collection of cell indices."""
+        values, den = self.measure_vector()
+        picked = values[np.fromiter(cells, dtype=np.int64)]
+        if den is None:
+            return scalar_sum(picked)
+        return Fraction(int(picked.sum()), den)
+
     def cell_measure(self, cell: int) -> Scalar:
-        prod = None
-        for i, m in enumerate(self.ms, start=1):
-            cell, d = divmod(cell, m)
-            w = self.spec.mu_weight(i, d)
-            prod = w if prod is None else prod * w
-        return prod
+        values, den = self.measure_vector()
+        return values[cell] if den is None else Fraction(int(values[cell]), den)
 
     def all_measures(self) -> list:
-        """Measures of all cells in index order (memory ~ cell_count).
-
-        Built coordinate by coordinate as an outer product, so the cost is one
-        multiplication per output entry rather than one per entry and depth.
-        """
-        out = [Fraction(1)]
-        for i, m in enumerate(self.ms, start=1):
-            w = [self.spec.mu_weight(i, j) for j in range(m)]
-            out = [base * wj for wj in w for base in out]
-        return out
-
-
-def _prod(xs):
-    total = None
-    for x in xs:
-        total = x if total is None else total * x
-    return total if total is not None else Fraction(1)
+        """Measures of all cells in index order (memory ~ cell_count)."""
+        values, den = self.measure_vector()
+        if den is None:
+            return list(values)
+        return [Fraction(v, den) for v in values.tolist()]
 
 
 def build_truncation(spec: SystemSpec, depth: int, cap: Optional[int] = None) -> TruncatedSpace:
@@ -930,12 +1027,12 @@ class DepthSet:
         if self.cells is not None:
             return self.cells
         tr = build_truncation(self.spec, self.depth, cap)
-        idx = [frozenset(f) for f in self.factors]
-        cells = []
-        for cell in range(tr.cell_count):
-            if all(d in idx[i] for i, d in enumerate(tr.digits(cell))):
-                cells.append(cell)
-        return frozenset(cells)
+        keep = np.ones(tr.cell_count, dtype=bool)
+        rest = np.arange(tr.cell_count)
+        for m, f in zip(tr.ms, self.factors):
+            rest, d = divmod(rest, m)
+            keep &= np.isin(d, list(f))
+        return frozenset(np.flatnonzero(keep).tolist())
 
     def explicit(self, cap: Optional[int] = None) -> "DepthSet":
         if self.cells is not None:
@@ -951,8 +1048,7 @@ def set_measure(spec: SystemSpec, S: DepthSet) -> Scalar:
             part = spec.subset_measure(i, f)
             total = part if total is None else total * part
         return total if total is not None else Fraction(1)
-    tr = build_truncation(spec, S.depth)
-    return scalar_sum(tr.cell_measure(c) for c in sorted(S.cells))
+    return build_truncation(spec, S.depth).measure_of(S.cells)
 
 
 @dataclass

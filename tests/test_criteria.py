@@ -261,6 +261,18 @@ def test_evaluate_unknown():
         evaluate(gallery.get_spec("ornstein"), "no-such-criterion")
 
 
+def test_hoeffding_rule_lets_foreign_errors_through(monkeypatch):
+    from odolab import witness
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("not an odolab failure")
+
+    monkeypatch.setattr(witness, "find_transitivity_params", broken)
+    spec = gallery.get_spec("fhc-binary")
+    with pytest.raises(RuntimeError):
+        evaluate(spec, "hc-drop-hoeffding", horizon=40, mode="numeric")
+
+
 def test_ornstein_drop_verdict():
     spec = gallery.get_spec("ornstein")
     v = evaluate(spec, "hc-limsup-drop", horizon=100, mode="numeric")

@@ -11,7 +11,7 @@ from odolab.functions import (apply_composition, exp_minus_one_gauge, lp_distanc
 from odolab.maps import InducedBijection, boundedness, preimage_cylinder
 from odolab.space import DepthSet, SimpleFunction
 
-from conftest import listed_spec
+from conftest import listed_spec, random_listed_vectors
 
 
 def indicator(spec, symbols):
@@ -156,6 +156,66 @@ def test_contraction_bound(data):
     g = apply_composition(spec, f, 1)
     assert lp_norm_pow(spec, g, 1) <= sup * lp_norm_pow(spec, f, 1)
     assert lp_norm_pow(spec, g, 2) <= sup * lp_norm_pow(spec, f, 2)
+
+
+def per_cell_measure(spec, depth, cell):
+    prod = Fraction(1)
+    for i in range(1, depth + 1):
+        cell, d = divmod(cell, spec.m(i))
+        prod = prod * spec.measure.weight(i, spec.m(i), d)
+    return prod
+
+
+def per_cell_lp_pow(spec, depth, values, p):
+    terms = [abs(v) ** p * per_cell_measure(spec, depth, c)
+             for c, v in enumerate(values) if v != 0]
+    if any(isinstance(t, float) for t in terms):
+        return math.fsum(terms)
+    return sum(terms, Fraction(0))
+
+
+def random_values(data, count, big):
+    """Exact values; `big` denominators push |v|^p * den past int64."""
+    den = 3 ** 45 if big else 6
+    return tuple(Fraction(data.draw(st.integers(-den, den)), den)
+                 for _ in range(count))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_norms_and_orbits_match_per_cell_definition(data):
+    import numpy as np
+    rng = np.random.default_rng(data.draw(st.integers(0, 10 ** 6)))
+    kind = data.draw(st.sampled_from(["odometer", "diagonal-translation"]))
+    depth = data.draw(st.integers(1, 3))
+    float_coords = data.draw(st.sets(st.integers(1, depth), max_size=1))
+    spec = listed_spec(kind, random_listed_vectors(rng, depth, float_coords))
+    count = spec.cell_count(depth)
+    big = data.draw(st.booleans())
+    f = SimpleFunction(spec, depth, random_values(data, count, big))
+    g = SimpleFunction(spec, depth, random_values(data, count, False))
+    p = data.draw(st.sampled_from([1, 2, 3, Fraction(3, 2)]))
+    bij = InducedBijection(spec, depth)
+    horizon = 6
+    trace = orbit_trace(spec, f, g, epsilon=0.4, p=p, horizon=horizon)
+    for n in range(1, horizon + 1):
+        pulled = tuple(f.values[bij.forward(c, n)] for c in range(count))
+        assert apply_composition(spec, f, n).values == pulled
+        diff = [a - b for a, b in zip(pulled, g.values)]
+        if p == int(p):
+            dpow = per_cell_lp_pow(spec, depth, diff, int(p))
+            assert lp_norm_pow(spec, SimpleFunction(spec, depth, tuple(diff)),
+                               int(p)) == dpow
+            dist = float(dpow) ** (1.0 / float(p))
+            inside = (dist < 0.4 if float_coords
+                      else dpow < Fraction(0.4) ** int(p))
+        else:
+            dist = math.fsum(abs(float(v)) ** 1.5
+                             * float(per_cell_measure(spec, depth, c))
+                             for c, v in enumerate(diff) if v != 0) ** (1 / 1.5)
+            inside = dist < 0.4
+        assert trace.distances[n - 1] == dist
+        assert (n in trace.visit_set) == inside
 
 
 def test_orlicz_indicator_norms():

@@ -92,6 +92,17 @@ def test_cli_classify_ok(tmp_path):
     assert statuses["hc-limsup-drop"].startswith("satisfied")
 
 
+def test_cli_classify_translation_gamma_ids(tmp_path):
+    # both gamma_n criteria share one rule; each verdict carries its own id
+    code = main(["classify", "trans-hc", "--out", str(tmp_path),
+                 "--horizon", "12"])
+    assert code == 0
+    doc = json.loads((tmp_path / "classify-trans-hc.json").read_text())
+    ids = [v["criterion"] for v in doc["verdicts"]]
+    assert ids.count("hc-translation-gamma") == 1
+    assert ids.count("mixing-translation-gamma") == 1
+
+
 def test_cli_classify_unbounded_exits_one(tmp_path):
     code = main(["classify", "same-measure(1/6,1/3,1/2)",
                  "--out", str(tmp_path)])

@@ -6,13 +6,15 @@ from hypothesis import given, settings, strategies as st
 
 from odolab import gallery
 from odolab.errors import CarryOverflow, UnresolvedTail
-from odolab.maps import (InducedBijection, boundedness, forward_image_measure,
-                         kakutani_check, norm_probe, odometer_add,
-                         odometer_pullback_measure, odometer_step,
-                         preimage_cylinder, preimage_measure, rn_derivative)
-from odolab.space import DepthSet, build_truncation, set_measure
+from odolab.maps import (InducedBijection, _carry_chain_measure, boundedness,
+                         forward_image_measure, kakutani_check, norm_probe,
+                         odometer_add, odometer_pullback_measure,
+                         odometer_step, preimage_cylinder, preimage_measure,
+                         rn_derivative)
+from odolab.space import (AlphabetRule, DepthSet, RampMeasure, SystemSpec,
+                          build_truncation, set_measure)
 
-from conftest import listed_spec, random_rational_vector
+from conftest import listed_spec, random_listed_vectors
 
 
 # ---------------------------------------------------------------------------
@@ -146,14 +148,42 @@ def test_preimage_measure_examples(binary_uniform):
     assert preimage_measure(t3, S2, 1) == Fraction(1, 6) + Fraction(1, 2)
 
 
-@settings(max_examples=40, deadline=None)
+def carry_chain_oracle(spec, factors, k, subtract=False):
+    """The per-Fraction carry chain: one scalar product per symbol and chain."""
+    depth = len(factors)
+    digits = spec.digits_of(k, depth)
+    f0, f1 = Fraction(1), Fraction(0)
+    for i in range(1, depth + 1):
+        m = spec.m(i)
+        want = factors[i - 1]
+        d = digits[i - 1]
+        g0 = g1 = None
+        for c, fin in ((0, f0), (1, f1)):
+            if fin == 0:
+                continue
+            for x in range(m):
+                t = x - d - c if subtract else x + d + c
+                nxt = (t < 0) if subtract else (t >= m)
+                if want is not None and t % m not in want:
+                    continue
+                w = fin * spec.measure.weight(i, m, x)
+                if nxt:
+                    g1 = w if g1 is None else g1 + w
+                else:
+                    g0 = w if g0 is None else g0 + w
+        f0 = g0 if g0 is not None else Fraction(0)
+        f1 = g1 if g1 is not None else Fraction(0)
+    return f0 + f1
+
+
+@settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_carry_chain_matches_enumeration(data):
     import numpy as np
     rng = np.random.default_rng(data.draw(st.integers(0, 10 ** 6)))
     depth = data.draw(st.integers(2, 5))
-    vectors = [random_rational_vector(rng, int(rng.integers(2, 5)), q=360)
-               for _ in range(depth)]
+    float_coords = data.draw(st.sets(st.integers(1, depth), max_size=2))
+    vectors = random_listed_vectors(rng, depth, float_coords)
     spec = listed_spec("odometer", vectors)
     factors = [set(int(x) for x in
                    rng.choice(len(v), size=max(1, int(rng.integers(1, len(v) + 1))),
@@ -161,14 +191,47 @@ def test_carry_chain_matches_enumeration(data):
                for v in vectors]
     S = DepthSet.product_form(spec, factors)
     k = data.draw(st.integers(0, 400))
+    # the integer kernel against the per-Fraction chain: equal values of the
+    # same type, so float prefixes agree bit for bit
+    wants = [data.draw(st.sampled_from([None, f])) for f in S.factors]
+    for subtract in (False, True):
+        got = _carry_chain_measure(spec, wants, k, subtract)
+        want = carry_chain_oracle(spec, wants, k, subtract)
+        assert type(got) is type(want) and got == want
     tr = build_truncation(spec, depth)
     bij = InducedBijection(spec, depth)
     cells = S.to_cells()
     brute_pull = sum(tr.cell_measure(c) for c in range(tr.cell_count)
                      if bij.forward(c, k) in cells)
-    assert odometer_pullback_measure(spec, S, k) == brute_pull
     brute_fwd = sum(tr.cell_measure(bij.forward(c, k)) for c in cells)
+    if float_coords:
+        assert odometer_pullback_measure(spec, S, k) == pytest.approx(brute_pull)
+        assert forward_image_measure(spec, S, k) == pytest.approx(brute_fwd)
+        return
+    assert odometer_pullback_measure(spec, S, k) == brute_pull
     assert forward_image_measure(spec, S, k) == brute_fwd
+    # the enumeration branches on the explicit set agree exactly
+    E = S.explicit()
+    assert forward_image_measure(spec, E, k) == brute_fwd
+    assert preimage_measure(spec, E, k) == brute_pull
+
+
+def test_float_ramp_coordinate_uses_per_symbol_weights():
+    # a ramp past the exact cap runs in floats, where weight(j) differs in
+    # the last bits from the iterated vector weights()
+    m = 1100
+    spec = SystemSpec(kind="odometer",
+                      alphabet=AlphabetRule("constant", {"m": m}),
+                      measure=RampMeasure({"layout": "tail", "n": "half",
+                                           "delta": "inv-square"}))
+    per_symbol = [spec.measure.weight(1, m, j) for j in range(m)]
+    assert per_symbol != list(spec.measure.weights(1, m))
+    assert build_truncation(spec, 1).all_measures() == per_symbol
+    want = [set(range(0, m, 3))]
+    for k in (1, 550, 1099):
+        for subtract in (False, True):
+            assert (_carry_chain_measure(spec, want, k, subtract)
+                    == carry_chain_oracle(spec, want, k, subtract))
 
 
 def test_forward_image_preserves_count_not_measure():

@@ -6,10 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from odolab import gallery
 from odolab.errors import CapExceeded
-from odolab.space import (DepthSet, SimpleFunction, SystemSpec,
-                          atomless_monitor, build_truncation, set_measure)
+from odolab.space import (COORD_MEMO_CAP, DepthSet, SimpleFunction,
+                          SystemSpec, atomless_monitor, build_truncation,
+                          set_measure)
 
-from conftest import listed_spec, uniform_binary
+from conftest import listed_spec, random_listed_vectors, uniform_binary
 
 
 def test_uniform_binary_truncation_cells():
@@ -58,6 +59,84 @@ def test_cell_measures_sum_float_backend():
     spec = gallery.get_spec("geometric-mixing")
     tr = build_truncation(spec, 5)
     assert abs(math.fsum(float(x) for x in tr.all_measures()) - 1.0) < 1e-12
+
+
+def test_cached_accessors_match_the_measure_family():
+    for gid in ("ornstein", "hc-not-mixing", "fhc-binary", "geometric-mixing",
+                "binary-alpha(1/4)", "trans-hc", "hoeffbis-blocks"):
+        spec = gallery.get_spec(gid)
+        for i in (1, 2, 3, 4):
+            m = spec.alphabet.m(i)
+            for _ in range(2):      # the second round reads the memo
+                assert spec.m(i) == m
+                assert spec.mu(i) == spec.measure.weights(i, m)
+                for j in (0, 1, m - 1, m + 1, -1):
+                    got, want = spec.mu_weight(i, j), spec.measure.weight(i, m, j)
+                    assert type(got) is type(want) and got == want, (gid, i, j)
+                ints = spec.integer_weights(i)
+                w = spec.measure.weights(i, m)
+                if all(isinstance(x, Fraction) for x in w):
+                    nums, den = ints
+                    assert [Fraction(n, den) for n in nums] == list(w)
+                    assert den == math.lcm(*(x.denominator for x in w))
+                else:
+                    assert ints is None
+        assert spec == gallery.get_spec(gid)
+        assert "_coords" not in repr(spec)
+
+
+def test_coordinate_memo_is_bounded():
+    spec = gallery.get_spec("fhc-not-mixing")
+    for i in range(1, 3 * COORD_MEMO_CAP):
+        assert spec.mu(i) == spec.measure.weights(i, 2)
+        assert spec.mu_weight(i, 1) == spec.measure.weights(i, 2)[1]
+        assert len(spec._coords) <= COORD_MEMO_CAP
+
+
+def test_ramp_memoises_pieces_but_no_vector():
+    spec = gallery.get_spec("trans-hc")
+    m = spec.m(9)
+    assert spec.measure.pieces(9, m) is spec.measure.pieces(9, m)
+    assert spec.measure.pieces(9, m) == spec.measure._build_pieces(9, m)
+    spec.mu(9), spec.integer_weights(9)
+    assert spec._coords[9].weights is None and spec._coords[9].ints is not None
+
+
+def cell_product(spec, tr, cell):
+    """Measure of one cell as the left-to-right product of its weights."""
+    prod = None
+    for i, d in enumerate(tr.digits(cell), start=1):
+        w = spec.measure.weight(i, tr.ms[i - 1], d)
+        prod = w if prod is None else prod * w
+    return prod
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_measure_vector_matches_cell_products(data):
+    import numpy as np
+    rng = np.random.default_rng(data.draw(st.integers(0, 10 ** 6)))
+    depth = data.draw(st.integers(1, 4))
+    float_coords = data.draw(st.sets(st.integers(1, depth), max_size=2))
+    # q = 2^40 - 87 pushes depth >= 2 products of denominators past int64
+    q = data.draw(st.sampled_from([360, (1 << 40) - 87]))
+    spec = listed_spec("odometer",
+                       random_listed_vectors(rng, depth, float_coords, q=q))
+    tr = build_truncation(spec, depth)
+    oracle = [cell_product(spec, tr, c) for c in range(tr.cell_count)]
+    values, den = tr.measure_vector()
+    assert (den is None) == bool(float_coords)
+    if den is not None:
+        assert values.dtype == (np.int64 if den < 1 << 63 else object)
+    got = [tr.cell_measure(c) for c in range(tr.cell_count)]
+    assert [type(x) for x in got] == [type(x) for x in oracle]
+    assert got == oracle == tr.all_measures()
+    cells = frozenset(int(c) for c in rng.choice(tr.cell_count,
+                                                 size=tr.cell_count // 2))
+    S = DepthSet.from_cells(spec, depth, cells)
+    want = (sum((oracle[c] for c in cells), Fraction(0)) if den is not None
+            else math.fsum(oracle[c] for c in cells))
+    assert set_measure(spec, S) == want
 
 
 def test_set_measure_examples():
