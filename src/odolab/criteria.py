@@ -29,8 +29,8 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import OdolabError, UnknownTheorem
-from .scalars import Scalar, format_scalar, is_exact
+from .errors import CapExceeded, OdolabError, UnknownTheorem
+from .scalars import Scalar, format_scalar, integer_view, is_exact
 from .space import SHIFT, SystemSpec
 
 GAMMA_BRUTE_CAP = 16
@@ -87,20 +87,39 @@ def theta_witness(spec: SystemSpec, i: int, shift: Optional[int] = None):
 # ---------------------------------------------------------------------------
 
 def _mwis_path(weights: Sequence[Scalar]) -> tuple:
-    """(max weight, chosen indices) for an independent set on a path."""
+    """(max weight, chosen indices) for an independent set on a path.
+
+    A chosen set is a linked chain (last index, rest) shared between the
+    take and skip states, so each step is O(1); it is unrolled once at the end.
+    """
     excl_v: Scalar = 0
-    excl_s: tuple = ()
+    excl_s = None
     incl_v: Optional[Scalar] = None
-    incl_s: tuple = ()
+    incl_s = None
     for idx, w in enumerate(weights):
         new_incl_v = excl_v + w
-        new_incl_s = excl_s + (idx,)
+        new_incl_s = (idx, excl_s)
         if incl_v is not None and incl_v > excl_v:
             excl_v, excl_s = incl_v, incl_s
         incl_v, incl_s = new_incl_v, new_incl_s
     if incl_v is not None and incl_v > excl_v:
-        return incl_v, incl_s
-    return excl_v, excl_s
+        excl_v, excl_s = incl_v, incl_s
+    picked = []
+    while excl_s is not None:
+        idx, excl_s = excl_s
+        picked.append(idx)
+    return excl_v, tuple(reversed(picked))
+
+
+def _solve_chains(dp, w: Sequence[Scalar], chains) -> tuple:
+    """(summed DP value, union of picked indices) over disjoint index chains."""
+    total = None
+    chosen = set()
+    for chain in chains:
+        val, picked = dp([w[x] for x in chain])
+        total = val if total is None else total + val
+        chosen.update(chain[t] for t in picked)
+    return total, frozenset(chosen)
 
 
 def disjoint_shift_set_zplus(spec: SystemSpec, i: int, j: int) -> tuple:
@@ -112,15 +131,8 @@ def disjoint_shift_set_zplus(spec: SystemSpec, i: int, j: int) -> tuple:
     m = spec.m(i)
     if not 1 <= j <= m - 1:
         raise ValueError("shift must lie in [1, m_i - 1]")
-    w = spec.mu(i)
-    total = None
-    chosen = set()
-    for start in range(min(j, m)):
-        chain = list(range(start, m, j))
-        val, picked = _mwis_path([w[x] for x in chain])
-        total = val if total is None else total + val
-        chosen.update(chain[t] for t in picked)
-    return total, frozenset(chosen)
+    return _solve_chains(_mwis_path, spec.mu(i),
+                         [range(s, m, j) for s in range(j)])
 
 
 def kappa(spec: SystemSpec, i: int) -> Scalar:
@@ -155,32 +167,24 @@ def alpha_shift(spec: SystemSpec, i: int, n: int) -> Scalar:
 
 
 def alpha_shift_witness(spec: SystemSpec, i: int, n: int) -> tuple:
-    """Max-weight D with (D + n) mod m_i disjoint from D; cycle DP.
+    """Max-weight D with (D + n) mod m_i disjoint from D; cycle DP."""
+    return _alpha(spec.mu(i), n)
+
+
+def _alpha(w: Sequence[Scalar], n: int) -> tuple:
+    """(value, D) of the shift-disjoint optimum mod len(w), exact or float.
 
     The conflict graph is gcd(n, m) cycles of length m / gcd.  n = 0 mod m
     forces D empty.
     """
-    m = spec.m(i)
+    m = len(w)
     r = n % m
-    w = spec.mu(i)
-    zero = Fraction(0) if is_exact(w[0]) else 0.0
     if r == 0:
-        return zero, frozenset()
+        return (Fraction(0) if is_exact(w[0]) else 0.0), frozenset()
     g = math.gcd(r, m)
-    total = None
-    chosen = set()
-    for s in range(g):
-        cyc = []
-        x = s
-        while True:
-            cyc.append(x)
-            x = (x + r) % m
-            if x == s:
-                break
-        val, picked = _mwis_cycle([w[x] for x in cyc])
-        total = val if total is None else total + val
-        chosen.update(cyc[t] for t in picked)
-    return total, frozenset(chosen)
+    return _solve_chains(_mwis_cycle, w,
+                         [[(s + t * r) % m for t in range(m // g)]
+                          for s in range(g)])
 
 
 def beta_sup(spec: SystemSpec, i: int) -> Scalar:
@@ -251,10 +255,10 @@ def gamma_witness(spec: SystemSpec, i: int) -> tuple:
 
 def _gamma_exhaustive(w: Sequence[Scalar]) -> tuple:
     m = len(w)
-    exact = all(is_exact(x) for x in w)
-    if exact:
-        q = math.lcm(*(x.denominator for x in w))
-        ints = np.array([int(x * q) for x in w], dtype=np.int64)
+    view = integer_view(w)
+    if view is not None:
+        nums, q = view
+        ints = np.array(nums, dtype=np.int64)
         one = q
     else:
         ints = np.array([float(x) for x in w], dtype=np.float64)
@@ -273,7 +277,7 @@ def _gamma_exhaustive(w: Sequence[Scalar]) -> tuple:
         if best_val is None or v > best_val:
             best_val, best_mask, best_j = v, t, j
     D = frozenset(b for b in range(m) if best_mask >> b & 1)
-    if exact:
+    if view is not None:
         return Fraction(int(best_val), q), D, best_j
     return float(best_val), D, best_j
 
@@ -324,16 +328,24 @@ def gamma_tilde_witness(spec: SystemSpec, n: int, index_horizon: int) -> tuple:
     """
     drops = [(theta(spec, i, shift=n), i) for i in range(1, index_horizon + 1)]
     drops.sort(key=lambda t: t[0], reverse=True)
-    zero = drops[0][0] * 0 if drops else Fraction(0)
-    best_val, best_idx = zero, ()
-    running = zero
-    for t, (val, i) in enumerate(drops, start=1):
-        running = running + val
-        cand = running * running / t
-        if cand > best_val:
-            best_val = cand
-            best_idx = tuple(idx for _, idx in drops[:t])
-    return best_val, best_idx
+    best, t = _best_prefix_average([val for val, _ in drops])
+    return best, tuple(i for _, i in drops[:t])
+
+
+def _best_prefix_average(values: Sequence[Scalar]) -> tuple:
+    """(best, t): the largest (v_1 + ... + v_t)^2 / t over prefixes, and its t.
+
+    On values sorted in decreasing order this is the best averaged drop over
+    subsets.  The first maximal prefix wins; t is 0 when no prefix is positive.
+    """
+    best = run = values[0] * 0 if values else Fraction(0)
+    best_t = 0
+    for t, v in enumerate(values, start=1):
+        run = run + v
+        cand = run * run / t
+        if cand > best:
+            best, best_t = cand, t
+    return best, best_t
 
 
 # ---------------------------------------------------------------------------
@@ -571,28 +583,7 @@ def _rule_ufhc_odometer(spec, horizon, params):
                    evidence={"found": found}, params=params)
 
 
-def _alpha_float(weights: list, n: int) -> float:
-    """Cycle-DP shift-disjoint optimum on float weights (diagnostic rules)."""
-    m = len(weights)
-    r = n % m
-    if r == 0:
-        return 0.0
-    g = math.gcd(r, m)
-    total = 0.0
-    for s in range(g):
-        cyc = []
-        x = s
-        while True:
-            cyc.append(weights[x])
-            x = (x + r) % m
-            if x == s:
-                break
-        total += _mwis_cycle(cyc)[0]
-    return total
-
-
 def _usable_sites(spec, idx_h, size_cap=1 << 13):
-    from .errors import CapExceeded
     sites = []
     for i in range(1, idx_h + 1):
         try:
@@ -611,7 +602,7 @@ def _translation_gamma(name: str):
         idx_h = params.get("index_horizon", min(horizon, 12))
         sites = _usable_sites(spec, idx_h)
         float_w = {i: [float(x) for x in spec.mu(i)] for i in sites}
-        vals = [max(_alpha_float(float_w[i], n) for i in sites)
+        vals = [max(_alpha(float_w[i], n)[0] for i in sites)
                 for n in range(1, horizon + 1)]
         sup = max(vals)
         ok = sup >= 1 - params.get("slack", EVAL_NEAR_ONE)
@@ -637,12 +628,7 @@ def _rule_hc_translation_hoeffding(spec, horizon, params):
             m = len(w)
             drops.append(math.fsum(max(w[j] - w[(j + n) % m], 0.0)
                                    for j in range(m)))
-        drops.sort(reverse=True)
-        best = run = 0.0
-        for t, v in enumerate(drops, start=1):
-            run += v
-            best = max(best, run * run / t)
-        vals[n] = best
+        vals[n] = float(_best_prefix_average(sorted(drops, reverse=True))[0])
     sup = max(vals.values())
     ok = sup >= params.get("divergence_floor", 10.0)
     return Verdict(criterion="hc-translation-hoeffding",
@@ -659,10 +645,7 @@ def _rule_hc_translation_coprime(spec, horizon, params):
         return Verdict(criterion="hc-translation-coprime", status=INCONCLUSIVE,
                        mode="numeric-horizon",
                        evidence={"pairwise_coprime": False}, params=params)
-    best = 0.0
-    run = 0.0
     drops = []
-    from .errors import CapExceeded
     for i in range(1, horizon + 1):
         if ms[i - 1] > 4096:
             break        # unrestricted drop scans are quadratic in m
@@ -670,10 +653,7 @@ def _rule_hc_translation_coprime(spec, horizon, params):
             drops.append(float(theta(spec, i)))
         except CapExceeded:
             break
-    drops.sort(reverse=True)
-    for t, v in enumerate(drops, start=1):
-        run += v
-        best = max(best, run * run / t)
+    best = float(_best_prefix_average(sorted(drops, reverse=True))[0])
     ok = best >= params.get("divergence_floor", 10.0)
     return Verdict(criterion="hc-translation-coprime",
                    status=SATISFIED if ok else INCONCLUSIVE,

@@ -170,21 +170,10 @@ def find_transitivity_params(spec: SystemSpec, epsilon: float,
             drop_cache[i] = theta_witness(spec, i)
         return drop_cache[i]
 
-    top_cache: dict[int, Scalar] = {}
-
-    def top_weight(i):
-        if i not in top_cache:
-            top_cache[i] = spec.mu_weight(i, spec.m(i) - 1)
-        return top_cache[i]
-
     usable = [i for i in raw if drop(i)[0] > 0]
     if len(usable) >= 2:
-        gap_products = []
-        for a, b in zip(usable, usable[1:]):
-            prod = Fraction(1)
-            for r in range(a + 1, b):
-                prod = prod * top_weight(r)
-            gap_products.append(float(prod))   # empty gap stays at mass 1
+        bands = [_band_mass(spec, a, b) for a, b in zip(usable, usable[1:])]
+        gap_products = [float(x) for x in bands]
         drop_floats = [float(drop(i)[0]) for i in usable]
         for offset in range(len(usable) - 1):
             gap_sum = 0.0
@@ -198,20 +187,32 @@ def find_transitivity_params(spec: SystemSpec, epsilon: float,
                 bound = math.exp(-(2.0 / (9 * count)) * drop_sum ** 2)
                 if bound < epsilon:
                     chosen = usable[offset:t + 1]
-                    exact_gap = Fraction(0)
-                    for a, b in zip(chosen, chosen[1:]):
-                        prod = Fraction(1)
-                        for r in range(a + 1, b):
-                            prod = prod * top_weight(r)
-                        exact_gap = exact_gap + prod
                     return TransitivityPlan(
                         offset=offset, count=count, indices=tuple(chosen),
                         drops=tuple(drop(i)[0] for i in chosen),
                         sets=tuple(drop(i)[1] for i in chosen),
                         shifts=tuple(drop(i)[2] for i in chosen),
-                        gap_sum=exact_gap, hoeffding_bound=bound)
+                        gap_sum=sum(bands[offset:t], Fraction(0)),
+                        hoeffding_bound=bound)
     raise StrategyInfeasible(
         f"no (offset, length) met both smallness conditions below eps={epsilon}")
+
+
+def _band_mass(spec: SystemSpec, a: int, b: int) -> Scalar:
+    """Mass of the all-top band strictly between coordinates a and b (1 if empty)."""
+    prod = Fraction(1)
+    for r in range(a + 1, b):
+        prod = prod * spec.mu_weight(r, spec.m(r) - 1)
+    return prod
+
+
+def _pair_law(spec: SystemSpec, i: int, D: frozenset,
+              shifted: frozenset) -> tuple:
+    """(p11, p10, p01, p00): the joint law of (x_i in D, x_i in shifted)."""
+    p11 = spec.subset_measure(i, D & shifted)
+    p10 = spec.subset_measure(i, D - shifted)
+    p01 = spec.subset_measure(i, shifted - D)
+    return p11, p10, p01, _complement(p11 + p10 + p01)
 
 
 def _pair_sum_distribution(pairs: Sequence[tuple]) -> dict:
@@ -234,6 +235,13 @@ def _pair_sum_distribution(pairs: Sequence[tuple]) -> dict:
                 nxt[(u, v)] = nxt.get((u, v), zero_like) + w * p00
         dist = nxt
     return dist
+
+
+def _concentration_mass(pairs: Sequence[tuple], ux_min: int,
+                        uy_max: int) -> Scalar:
+    """P(sum X_s >= ux_min and sum Y_s <= uy_max) under the pair laws."""
+    return sum((w for (u, v), w in _pair_sum_distribution(pairs).items()
+                if u >= ux_min and v <= uy_max), pairs[0][0] * 0)
 
 
 def transitivity_witness(spec: SystemSpec, epsilon: float,
@@ -264,12 +272,8 @@ def transitivity_witness(spec: SystemSpec, epsilon: float,
     t_y = None
     for i, D, k in zip(plan.indices, plan.sets, plan.shifts):
         m = spec.m(i)
-        shifted = frozenset((x + k) % m for x in D)
-        p11 = spec.subset_measure(i, D & shifted)
-        p10 = spec.subset_measure(i, D - shifted)
-        p01 = spec.subset_measure(i, shifted - D)
-        p00 = _complement(p11 + p10 + p01)
-        pairs.append((p11, p10, p01, p00))
+        pairs.append(_pair_law(spec, i, D, frozenset((x + k) % m for x in D)))
+        p11, p10, p01, _ = pairs[-1]
         mu_d = p11 + p10
         mu_shift = p11 + p01
         drop = mu_d - mu_shift
@@ -280,18 +284,10 @@ def transitivity_witness(spec: SystemSpec, epsilon: float,
     ux_min = _ceil_scalar(t_x)
     uy_max = _floor_scalar(t_y)
 
-    dist = _pair_sum_distribution(pairs)
-    mu_xy = sum((w for (u, v), w in dist.items()
-                 if u >= ux_min and v <= uy_max), pairs[0][0] * 0)
-    band_factor = None
-    band_measures = []
-    for a, b in zip(plan.indices, plan.indices[1:]):
-        prod = Fraction(1)
-        for r in range(a + 1, b):
-            prod = prod * spec.mu_weight(r, spec.m(r) - 1)
-        band_measures.append(prod)
-        band_factor = (1 - prod) if band_factor is None else band_factor * (1 - prod)
-    mu_b = mu_xy * band_factor
+    mu_xy = _concentration_mass(pairs, ux_min, uy_max)
+    band_measures = [_band_mass(spec, a, b)
+                     for a, b in zip(plan.indices, plan.indices[1:])]
+    mu_b = mu_xy * math.prod(1 - x for x in band_measures)
     report.add("mass", "mu(B) > 1 - 3 eps", 1 - 3 * epsilon, mu_b,
                "independence-product", float(mu_b) > 1 - 3 * epsilon,
                concentration_mass=_fmt(mu_xy),
@@ -965,12 +961,8 @@ def _translation_hoeffding_witness(spec: SystemSpec, sites: Sequence[int],
     for i in sites:
         m = spec.m(i)
         val, D, _ = theta_witness(spec, i, shift=n % m)
-        shifted = frozenset((x + n) % m for x in D)
-        p11 = spec.subset_measure(i, D & shifted)
-        p10 = spec.subset_measure(i, D - shifted)
-        p01 = spec.subset_measure(i, shifted - D)
-        p00 = _complement(p11 + p10 + p01)
-        pairs.append((p11, p10, p01, p00))
+        pairs.append(_pair_law(spec, i, D, frozenset((x + n) % m for x in D)))
+        p11, p10, p01, _ = pairs[-1]
         mu_d, mu_s = p11 + p10, p11 + p01
         t_x = (mu_d - val / 3) if t_x is None else t_x + mu_d - val / 3
         t_y = (mu_s + val / 3) if t_y is None else t_y + mu_s + val / 3
@@ -981,9 +973,7 @@ def _translation_hoeffding_witness(spec: SystemSpec, sites: Sequence[int],
     floor = 1 - 2 * math.exp(-(2.0 / (9 * n_sites)) * float(drop_total) ** 2)
     ux_min = _ceil_scalar(t_x)
     uy_max = _floor_scalar(t_y)
-    dist = _pair_sum_distribution(pairs)
-    mu_b = sum((w for (u, v), w in dist.items()
-                if u >= ux_min and v <= uy_max), pairs[0][0] * 0)
+    mu_b = _concentration_mass(pairs, ux_min, uy_max)
     report.add("mass-vs-floor", "exact mu(B) >= concentration floor", floor,
                mu_b, "independence-product", float(mu_b) >= floor - 1e-12)
     report.add("mass-target", "mu(B) >= 1 - 2 eps", 1 - 2 * epsilon, mu_b,

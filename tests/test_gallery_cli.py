@@ -2,8 +2,11 @@ import json
 import math
 from fractions import Fraction
 
+import dataclasses
+
 import pytest
 
+from odolab import gallery
 from odolab.cli import main, verify_gallery
 from odolab.gallery import (GALLERY, SolverSpec, get_spec, list_gallery,
                             solve_geometric_ratio, solve_parameter)
@@ -65,14 +68,34 @@ def test_open_question_entries_have_no_expectations():
 
 
 def test_verify_gallery_deterministic():
-    a = verify_gallery(seed=3)
-    b = verify_gallery(seed=3)
+    a = verify_gallery()
+    b = verify_gallery()
     assert a == b
     assert a["ok"]
+    assert "seed" not in a
+
+
+def test_verify_gallery_records_invalid_coordinates(monkeypatch, tmp_path,
+                                                    capsys):
+    entry = GALLERY["binary-alpha"]
+    spec = get_spec("same-measure(1/2,1/3)")    # weights sum to 5/6
+    bad = dataclasses.replace(entry, build=lambda: spec, expectations={})
+    monkeypatch.setattr(gallery, "GALLERY",
+                        {"binary-alpha": entry, "bad-weights": bad})
+    doc = verify_gallery()
+    assert not doc["ok"]
+    checks = dict(c[:2] for c in doc["entries"]["bad-weights"]["checks"])
+    assert checks["coordinates-valid"] == "mu_1 sums to 5/6 != 1"
+    good = dict(c[:2] for c in doc["entries"]["binary-alpha"]["checks"])
+    assert good["coordinates-valid"] is True
+    assert main(["verify-gallery", "--out", str(tmp_path)]) == 1
+    status = dict(line.split() for line in capsys.readouterr().out.splitlines()
+                  if not line.startswith("report:"))
+    assert status == {"binary-alpha": "ok", "bad-weights": "FAIL"}
 
 
 def test_expectations_never_contradicted():
-    doc = verify_gallery(seed=0)
+    doc = verify_gallery()
     for gid, item in doc["entries"].items():
         for row in item["checks"]:
             if isinstance(row[-1], bool):
@@ -111,6 +134,27 @@ def test_cli_classify_unbounded_exits_one(tmp_path):
 
 def test_cli_bad_spec_exits_two(tmp_path):
     assert main(["classify", "not-a-system", "--out", str(tmp_path)]) == 2
+
+
+def _product_config(kind, m, weights):
+    return {"kind": kind,
+            "alphabet": {"family": "constant", "params": {"m": m}},
+            "measure": {"family": "same", "params": {"weights": weights}}}
+
+
+@pytest.mark.parametrize("cfg,reason", [
+    (_product_config("nope", 2, ["1/2", "1/2"]), "unknown kind 'nope'"),
+    (_product_config("odometer", 2, ["1/2", "1/3"]), "mu_1 sums to 5/6 != 1"),
+    (_product_config("odometer", 3, ["1/2", "1/2"]),
+     "alphabet size does not match the fixed vector"),
+], ids=["unknown-kind", "weights-sum", "short-vector"])
+def test_cli_malformed_config_exits_two(tmp_path, capsys, cfg, reason):
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["sequences", f"@{path}", "--horizon", "3",
+                 "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"bad spec: {reason}\n"
+    assert not list(tmp_path.glob("sequences-*"))
 
 
 def test_cli_backend_mismatch_exits_two(tmp_path):

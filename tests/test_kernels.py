@@ -1,0 +1,219 @@
+"""Differential tests: the optimizer kernels against their earlier forms.
+
+The oracles below are the implementations the kernels replaced: a path DP
+that copies its chosen tuple on every step, a cycle-DP optimum on float
+weights, and the inline "run^2 / t" prefix loops.  They stay here as the
+reference, and the kernels must agree with them in value, type and chosen
+indices; on floats that means bit for bit.
+"""
+import math
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from odolab import gallery
+from odolab.criteria import (_alpha, _best_prefix_average, _mwis_cycle,
+                             _mwis_path, gamma_tilde_witness, theta)
+
+
+# ---------------------------------------------------------------------------
+# oracles
+# ---------------------------------------------------------------------------
+
+def tuple_mwis_path(weights):
+    excl_v = 0
+    excl_s = ()
+    incl_v = None
+    incl_s = ()
+    for idx, w in enumerate(weights):
+        new_incl_v = excl_v + w
+        new_incl_s = excl_s + (idx,)
+        if incl_v is not None and incl_v > excl_v:
+            excl_v, excl_s = incl_v, incl_s
+        incl_v, incl_s = new_incl_v, new_incl_s
+    if incl_v is not None and incl_v > excl_v:
+        return incl_v, incl_s
+    return excl_v, excl_s
+
+
+def tuple_mwis_cycle(weights):
+    L = len(weights)
+    if L == 1:
+        return 0 * weights[0], ()
+    if L == 2:
+        return max((weights[0], (0,)), (weights[1], (1,)), key=lambda t: t[0])
+    v1, s1 = tuple_mwis_path(weights[1:])
+    s1 = tuple(t + 1 for t in s1)
+    v2, s2 = tuple_mwis_path(weights[2:L - 1])
+    v2 = v2 + weights[0]
+    s2 = (0,) + tuple(t + 2 for t in s2)
+    return max((v1, s1), (v2, s2), key=lambda t: t[0])
+
+
+def _cycles(m, r):
+    for s in range(math.gcd(r, m)):
+        cyc = []
+        x = s
+        while True:
+            cyc.append(x)
+            x = (x + r) % m
+            if x == s:
+                break
+        yield cyc
+
+
+def cycle_alpha(w, n):
+    """The exact cycle-DP optimum as alpha_shift_witness computed it."""
+    m = len(w)
+    r = n % m
+    if r == 0:
+        return (Fraction(0) if isinstance(w[0], Fraction) else 0.0), frozenset()
+    total = None
+    chosen = set()
+    for cyc in _cycles(m, r):
+        val, picked = tuple_mwis_cycle([w[x] for x in cyc])
+        total = val if total is None else total + val
+        chosen.update(cyc[t] for t in picked)
+    return total, frozenset(chosen)
+
+
+def alpha_float(weights, n):
+    """The float copy of the cycle DP that the diagnostic rules used."""
+    m = len(weights)
+    r = n % m
+    if r == 0:
+        return 0.0
+    total = 0.0
+    for cyc in _cycles(m, r):
+        total += tuple_mwis_cycle([weights[x] for x in cyc])[0]
+    return total
+
+
+def prefix_scan_exact(values):
+    """gamma_tilde's loop: (best, t) with the first maximal prefix."""
+    zero = values[0] * 0 if values else Fraction(0)
+    best_val, best_t = zero, 0
+    running = zero
+    for t, val in enumerate(values, start=1):
+        running = running + val
+        cand = running * running / t
+        if cand > best_val:
+            best_val, best_t = cand, t
+    return best_val, best_t
+
+
+def prefix_scan_float(values):
+    """The float rules' loop: the best value only."""
+    best = run = 0.0
+    for t, v in enumerate(values, start=1):
+        run += v
+        best = max(best, run * run / t)
+    return best
+
+
+def gamma_tilde_chosen(spec, n, index_horizon):
+    """gamma_tilde_witness as it read with its inline scan."""
+    drops = [(theta(spec, i, shift=n), i) for i in range(1, index_horizon + 1)]
+    drops.sort(key=lambda t: t[0], reverse=True)
+    zero = drops[0][0] * 0 if drops else Fraction(0)
+    best_val, best_idx = zero, ()
+    running = zero
+    for t, (val, i) in enumerate(drops, start=1):
+        running = running + val
+        cand = running * running / t
+        if cand > best_val:
+            best_val = cand
+            best_idx = tuple(idx for _, idx in drops[:t])
+    return best_val, best_idx
+
+
+def same(a, b):
+    """Equal value and type; repr tells floats apart bit for bit."""
+    return type(a) is type(b) and repr(a) == repr(b)
+
+
+# small numerators make ties common; both backends see the same draws
+def weights(min_size=0, low=0):
+    nums = st.lists(st.integers(low, 3), min_size=min_size, max_size=12)
+    return st.tuples(nums, st.booleans()).map(
+        lambda t: [x / 7 if t[1] else Fraction(x, 7) for x in t[0]])
+
+
+# ---------------------------------------------------------------------------
+# path and cycle DPs
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=300, deadline=None)
+@given(weights())
+def test_path_dp_matches_tuple_copying_oracle(w):
+    val, picked = _mwis_path(w)
+    old_val, old_picked = tuple_mwis_path(w)
+    assert same(val, old_val)
+    assert picked == old_picked
+
+
+@settings(max_examples=300, deadline=None)
+@given(weights())
+def test_cycle_dp_matches_oracle(w):
+    if not w:
+        for dp in (_mwis_cycle, tuple_mwis_cycle):
+            with pytest.raises(IndexError):
+                dp(w)
+        return
+    val, picked = _mwis_cycle(w)
+    old_val, old_picked = tuple_mwis_cycle(w)
+    assert same(val, old_val)
+    assert picked == old_picked
+
+
+@settings(max_examples=300, deadline=None)
+@given(weights(min_size=1), st.integers(0, 30))
+def test_alpha_matches_cycle_oracle(w, n):
+    val, D = _alpha(w, n)
+    old_val, old_D = cycle_alpha(w, n)
+    assert same(val, old_val)
+    assert D == old_D
+
+
+@settings(max_examples=300, deadline=None)
+@given(weights(min_size=1, low=1), st.integers(0, 30))
+def test_alpha_on_floats_is_the_float_copy_bit_for_bit(w, n):
+    # weights are strictly positive, as every coordinate of a spec is
+    w = [float(x) for x in w]
+    assert same(_alpha(w, n)[0], alpha_float(w, n))
+
+
+def test_path_dp_on_a_long_float_path():
+    w = [((7 * x) % 11) / 11 for x in range(5000)]
+    val, picked = _mwis_path(w)
+    old_val, old_picked = tuple_mwis_path(w)
+    assert same(val, old_val)
+    assert picked == old_picked
+
+
+# ---------------------------------------------------------------------------
+# prefix scan
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=300, deadline=None)
+@given(weights())
+def test_prefix_scan_matches_inline_loops(values):
+    best, t = _best_prefix_average(values)
+    assert (best, t) == prefix_scan_exact(values)
+    if values:
+        assert same(best, prefix_scan_exact(values)[0])
+    if all(isinstance(v, float) for v in values):
+        # the float rules report float(best), the empty scan included
+        assert same(float(best), prefix_scan_float(values))
+
+
+@pytest.mark.parametrize("gid,index_horizon", [("hoeffbis-blocks", 9),
+                                                ("trans-hc", 6)])
+def test_gamma_tilde_witness_chooses_as_before(gid, index_horizon):
+    spec = gallery.get_spec(gid)
+    for n in range(1, 9):
+        val, chosen = gamma_tilde_witness(spec, n, index_horizon)
+        old_val, old_chosen = gamma_tilde_chosen(spec, n, index_horizon)
+        assert same(val, old_val)
+        assert chosen == old_chosen
