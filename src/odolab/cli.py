@@ -200,6 +200,9 @@ def cmd_witness(args) -> int:
             NotFoundWithinHorizon) as exc:
         print(f"witness unavailable: {exc}")
         return 1
+    except CapExceeded as exc:
+        print(f"witness inconclusive: {exc}")
+        return 1
     out = Path(args.out) / f"witness-{args.name}-{_slug(args.spec)}.json"
     write_json(out, rep.to_document())
     for c in rep.checks:

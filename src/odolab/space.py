@@ -148,6 +148,8 @@ class MeasureFamily:
         return "rational"
 
     # -- generic accessors (overridable with closed forms) ------------------
+    # The defaults of eta, delta, interval_measure and subset_measure read
+    # only the weight vector, so SystemSpec serves them from its memo.
     def weight(self, i: int, m: int, j: int) -> Scalar:
         return self.weights(i, m)[j % m]
 
@@ -159,15 +161,10 @@ class MeasureFamily:
 
     def interval_measure(self, i: int, m: int, lo: int, hi: int) -> Scalar:
         """Weight of the integer interval [lo, hi] intersected with [0, m)."""
-        lo, hi = max(lo, 0), min(hi, m - 1)
-        if lo > hi:
-            return Fraction(0) if self.backend == "rational" else 0.0
-        w = self.weights(i, m)
-        return scalar_sum(w[lo:hi + 1])
+        return _interval_sum(self.weights(i, m), lo, hi, self.backend)
 
     def subset_measure(self, i: int, m: int, subset: Iterable[int]) -> Scalar:
-        w = self.weights(i, m)
-        return scalar_sum(w[j % m] for j in subset)
+        return _subset_sum(self.weights(i, m), subset)
 
     def sup_shift_ratio(self, i: int, m: int, s: int) -> Scalar:
         """sup_j mu_i(j - s mod m) / mu_i(j); equals 1 when s = 0 mod m."""
@@ -183,6 +180,18 @@ class MeasureFamily:
     def __eq__(self, other):
         return (isinstance(other, MeasureFamily)
                 and self.name == other.name and self.params == other.params)
+
+
+def _interval_sum(w: Sequence[Scalar], lo: int, hi: int,
+                  backend: str) -> Scalar:
+    lo, hi = max(lo, 0), min(hi, len(w) - 1)
+    if lo > hi:
+        return Fraction(0) if backend == "rational" else 0.0
+    return scalar_sum(w[lo:hi + 1])
+
+
+def _subset_sum(w: Sequence[Scalar], subset: Iterable[int]) -> Scalar:
+    return scalar_sum(w[j % len(w)] for j in subset)
 
 
 class UniformMeasure(MeasureFamily):
@@ -787,20 +796,30 @@ class SystemSpec:
         return [(tuple(self.mu_weight(i, j) for j in range(self.m(i))), 1)
                 for i in range(1, depth + 1)], False
 
-    def eta(self, i: int) -> Scalar:
+    def _vector_default(self, name: str) -> bool:
+        """Whether the family keeps MeasureFamily's default for `name`,
+        which reads only the weight vector the memo holds."""
         self._product_only()
+        return getattr(type(self.measure), name) is getattr(MeasureFamily, name)
+
+    def eta(self, i: int) -> Scalar:
+        if self._vector_default("eta"):
+            return max(self.mu(i))
         return self.measure.eta(i, self.m(i))
 
     def delta(self, i: int) -> Scalar:
-        self._product_only()
+        if self._vector_default("delta"):
+            return min(self.mu(i))
         return self.measure.delta(i, self.m(i))
 
     def interval_measure(self, i: int, lo: int, hi: int) -> Scalar:
-        self._product_only()
+        if self._vector_default("interval_measure"):
+            return _interval_sum(self.mu(i), lo, hi, self.measure.backend)
         return self.measure.interval_measure(i, self.m(i), lo, hi)
 
     def subset_measure(self, i: int, subset: Iterable[int]) -> Scalar:
-        self._product_only()
+        if self._vector_default("subset_measure"):
+            return _subset_sum(self.mu(i), subset)
         return self.measure.subset_measure(i, self.m(i), subset)
 
     def sup_shift_ratio(self, i: int, s: int) -> Scalar:

@@ -26,8 +26,8 @@ import numpy as np
 from .criteria import (alpha_shift_witness, disjoint_shift_set_zplus,
                        gamma_witness, kappa as kappa_seq, omega,
                        theta_witness)
-from .errors import (HypothesisUnavailable, NotFoundWithinHorizon,
-                     StrategyInfeasible, WindowTooSmall)
+from .errors import (CapExceeded, HypothesisUnavailable,
+                     NotFoundWithinHorizon, StrategyInfeasible, WindowTooSmall)
 from .functions import period_of
 from .maps import odometer_pullback_measure, translation_set_shift
 from .scalars import Scalar, format_scalar, is_exact
@@ -131,6 +131,7 @@ class TransitivityPlan:
     drops: tuple
     sets: tuple            # optimal D per selected index
     shifts: tuple          # optimal per-index digit shift
+    band_masses: tuple     # all-top band mass between consecutive indices
     gap_sum: Scalar        # condition (a): sum of gap tail-weight products
     hoeffding_bound: float  # condition (b): exp(-(2/9n) (sum drops)^2)
 
@@ -141,18 +142,23 @@ class TransitivityPlan:
 
 def find_transitivity_params(spec: SystemSpec, epsilon: float,
                              horizon: int = 400, beta: Optional[float] = None,
-                             depth_cap: int = 4000) -> TransitivityPlan:
+                             depth_cap: int = 4000,
+                             cell_cap: int = EXHAUSTIVE_CELL_CAP
+                             ) -> TransitivityPlan:
     """Search offsets/lengths of the index rule i_s = floor((offset+s)^beta).
 
     Conditions: (a) the summed gap products of top-symbol weights stay below
     epsilon; (b) the concentration bound exp(-(2/9n)(sum of drops)^2) falls
-    below epsilon.  Raises StrategyInfeasible when no pair works.
+    below epsilon.  Raises StrategyInfeasible when no pair works, and
+    CapExceeded up front when the optimal drops would cost more than
+    cell_cap steps: theta at index i takes about m_i^2.
     """
     if spec.kind != ODOMETER:
         raise ValueError("the transitivity witness drives the odometer")
     beta = 1.5 if beta is None else beta
     raw = []
     seen = set()
+    work = 0
     s = 1
     while len(raw) < horizon:
         i = math.floor(s ** beta)
@@ -163,6 +169,11 @@ def find_transitivity_params(spec: SystemSpec, epsilon: float,
         if i > depth_cap:
             break
         raw.append(i)
+        work += spec.m(i) ** 2
+        if work > cell_cap:
+            raise CapExceeded(
+                f"the drops of the first {len(raw)} candidate indices cost "
+                f"{work} > {cell_cap} steps")
     drop_cache: dict[int, tuple] = {}
 
     def drop(i):
@@ -192,6 +203,7 @@ def find_transitivity_params(spec: SystemSpec, epsilon: float,
                         drops=tuple(drop(i)[0] for i in chosen),
                         sets=tuple(drop(i)[1] for i in chosen),
                         shifts=tuple(drop(i)[2] for i in chosen),
+                        band_masses=tuple(bands[offset:t]),
                         gap_sum=sum(bands[offset:t], Fraction(0)),
                         hoeffding_bound=bound)
     raise StrategyInfeasible(
@@ -256,7 +268,8 @@ def transitivity_witness(spec: SystemSpec, epsilon: float,
     through the independence product; disjointness of B from its k-th image is
     checked exhaustively within the cell cap and by seeded sampling beyond.
     """
-    plan = find_transitivity_params(spec, epsilon, horizon=horizon, beta=beta)
+    plan = find_transitivity_params(spec, epsilon, horizon=horizon, beta=beta,
+                                    cell_cap=cell_cap)
     report = WitnessReport(construction="transitivity",
                            params={"epsilon": epsilon, "offset": plan.offset,
                                    "count": plan.count,
@@ -285,13 +298,11 @@ def transitivity_witness(spec: SystemSpec, epsilon: float,
     uy_max = _floor_scalar(t_y)
 
     mu_xy = _concentration_mass(pairs, ux_min, uy_max)
-    band_measures = [_band_mass(spec, a, b)
-                     for a, b in zip(plan.indices, plan.indices[1:])]
-    mu_b = mu_xy * math.prod(1 - x for x in band_measures)
+    mu_b = mu_xy * math.prod(1 - x for x in plan.band_masses)
     report.add("mass", "mu(B) > 1 - 3 eps", 1 - 3 * epsilon, mu_b,
                "independence-product", float(mu_b) > 1 - 3 * epsilon,
                concentration_mass=_fmt(mu_xy),
-               band_measures=[_fmt(x) for x in band_measures])
+               band_measures=[_fmt(x) for x in plan.band_masses])
 
     radix = spec.radix_weights(plan.depth)
     k_iterate = sum(ks * radix[i - 1]
@@ -319,117 +330,152 @@ def transitivity_witness(spec: SystemSpec, epsilon: float,
 
 
 class _TransitivityMembership:
-    """Vectorized membership test for the concentration witness set B."""
+    """Vectorized membership test for the concentration witness set B.
+
+    Reads depth-major digit matrices: row i - 1 holds coordinate i, one
+    column per point.
+    """
 
     def __init__(self, spec: SystemSpec, plan: TransitivityPlan,
                  ux_min: int, uy_max: int):
-        self.spec = spec
-        self.plan = plan
         self.ux_min = ux_min
         self.uy_max = uy_max
-        self.sel = [i - 1 for i in plan.indices]     # 0-based columns
-        self.in_d = []
-        self.in_shift = []
+        dtype = _digit_dtype(spec, plan.depth)
+        # per selected coordinate, [x in D] + ([x in D + k] << 32): one
+        # lookup adds both hit counts
+        self.hits = []
         for i, D, k in zip(plan.indices, plan.sets, plan.shifts):
             m = spec.m(i)
-            d_mask = np.zeros(m, dtype=bool)
-            d_mask[list(D)] = True
-            s_mask = np.zeros(m, dtype=bool)
-            s_mask[[(x + k) % m for x in D]] = True
-            self.in_d.append(d_mask)
-            self.in_shift.append(s_mask)
-        self.bands = []
+            table = np.zeros(m, dtype=np.int64)
+            table[list(D)] += 1
+            table[[(x + k) % m for x in D]] += 1 << 32
+            self.hits.append((i - 1, table))
+        self.bands = []                              # coordinates a+1..b-1
         for a, b in zip(plan.indices, plan.indices[1:]):
-            cols = list(range(a, b - 1))             # coordinates a+1..b-1
-            tops = np.array([spec.m(r + 1) - 1 for r in cols], dtype=np.int64)
-            self.bands.append((cols, tops))
+            if b - a > 1:
+                tops = np.array([spec.m(r) - 1 for r in range(a + 1, b)],
+                                dtype=dtype)
+                self.bands.append((slice(a, b - 1), tops[:, None]))
 
     def __call__(self, digits: np.ndarray) -> np.ndarray:
-        x_sum = np.zeros(len(digits), dtype=np.int64)
-        y_sum = np.zeros(len(digits), dtype=np.int64)
-        for col, d_mask, s_mask in zip(self.sel, self.in_d, self.in_shift):
-            col_digits = digits[:, col]
-            x_sum += d_mask[col_digits]
-            y_sum += s_mask[col_digits]
-        inside = (x_sum >= self.ux_min) & (y_sum <= self.uy_max)
-        for cols, tops in self.bands:
-            if not cols:
-                continue
-            in_band = np.all(digits[:, cols] == tops, axis=1)
-            inside &= ~in_band
+        hits = np.zeros(digits.shape[1], dtype=np.int64)
+        for row, table in self.hits:
+            hits += table[digits[row]]
+        inside = ((hits & 0xFFFFFFFF) >= self.ux_min) & (
+            (hits >> 32) <= self.uy_max)
+        for rows, tops in self.bands:
+            inside &= ~(digits[rows] == tops).all(axis=0)
         return inside
+
+
+def _digit_dtype(spec: SystemSpec, depth: int):
+    """Smallest integer dtype holding a digit plus a digit plus a carry."""
+    top = 2 * max(spec.m(i) for i in range(1, depth + 1)) - 1
+    for dtype in (np.int8, np.int16, np.int32):
+        if top <= np.iinfo(dtype).max:
+            return dtype
+    return np.int64
 
 
 def _digit_matrix_from_indices(spec: SystemSpec, depth: int,
                                idx: np.ndarray) -> np.ndarray:
-    out = np.empty((len(idx), depth), dtype=np.int64)
+    """Depth-major digits of the cells idx: row i - 1 holds coordinate i."""
+    out = np.empty((depth, len(idx)), dtype=_digit_dtype(spec, depth))
     rem = idx.copy()
     for i in range(1, depth + 1):
         m = spec.m(i)
-        out[:, i - 1] = rem % m
+        out[i - 1] = rem % m
         rem //= m
     return out
 
 
-def _add_iterate(spec: SystemSpec, digits: np.ndarray, k: int) -> np.ndarray:
-    depth = digits.shape[1]
-    kd = spec.digits_of(k, depth)
-    out = np.empty_like(digits)
-    carry = np.zeros(len(digits), dtype=np.int64)
-    for i in range(1, depth + 1):
-        m = spec.m(i)
-        t = digits[:, i - 1] + kd[i - 1] + carry
-        out[:, i - 1] = t % m
-        carry = (t >= m).astype(np.int64)
+def _add_iterate(digits: np.ndarray, moduli: Sequence[int],
+                 k_digits: Sequence[int]) -> np.ndarray:
+    """Depth-major digits of x + k, the carry out of the depth dropped.
+
+    Row i first holds x_i + k_i - m_i; with the carry in added it is
+    non-negative exactly when a carry goes out.  The carry runs row by row:
+    k has nonzero digits up to the depth, so it cannot stop early.
+    """
+    m = np.array(moduli, dtype=digits.dtype)[:, None]
+    out = digits + (np.array(k_digits, dtype=digits.dtype)[:, None] - m)
+    carry = np.zeros(digits.shape[1], dtype=bool)
+    for row in out:
+        row += carry
+        np.greater_equal(row, 0, out=carry)
+    out += m * (out < 0)
     return out
 
 
 def _exhaustive_disjointness(spec, membership, depth, k) -> int:
     cells = spec.cell_count(depth)
-    violations = 0
     chunk = 1 << 18
     # mark membership cell by cell; the image cell of c is (c + k) mod M
     in_b = np.zeros(cells, dtype=bool)
     for start in range(0, cells, chunk):
         idx = np.arange(start, min(start + chunk, cells), dtype=np.int64)
-        digits = _digit_matrix_from_indices(spec, depth, idx)
-        in_b[idx] = membership(digits)
+        in_b[start:start + chunk] = membership(
+            _digit_matrix_from_indices(spec, depth, idx))
     image = (np.nonzero(in_b)[0] + k) % cells
-    violations = int(np.count_nonzero(in_b[image]))
-    return violations
+    return int(np.count_nonzero(in_b[image]))
+
+
+_SAMPLE_BLOCK = 4096      # points per draw; holds a draw to 4096 x depth floats
+
+
+def _sample_thresholds(spec: SystemSpec, depth: int) -> np.ndarray:
+    """(n, depth) cdf entries below 1, padded with inf.
+
+    Digit i of a uniform u is the number of entries of column i at or below
+    u: searchsorted(cdf_i, u, side="right"), because a cumulative sum of
+    non-negative floats never decreases.  Entries >= 1 are dropped, since
+    u < 1 never reaches them.
+    """
+    cdfs = []
+    for i in range(1, depth + 1):
+        cdf = np.cumsum([float(x) for x in spec.mu(i)])
+        cdfs.append(cdf[cdf < 1.0])
+    out = np.full((max(map(len, cdfs)), depth), np.inf)
+    for i, cdf in enumerate(cdfs):
+        out[:len(cdf), i] = cdf
+    return out
 
 
 def _sampled_disjointness(spec, membership, depth, k, trials, seed,
                           chunk: int = 100_000):
-    """Seeded sampling from mu; returns (violations, example points)."""
-    seq = np.random.SeedSequence(seed)
-    n_chunks = (trials + chunk - 1) // chunk
-    child_seeds = seq.spawn(n_chunks)
-    cdfs = []
-    for i in range(1, depth + 1):
-        w = np.array([float(x) for x in spec.mu(i)], dtype=np.float64)
-        cdfs.append(np.cumsum(w))
+    """Seeded sampling from mu; returns (violations, example points).
+
+    Each chunk of trials has its own spawned PCG64 stream.  Its uniforms are
+    drawn _SAMPLE_BLOCK rows at a time; PCG64 fills row by row, so the blocks
+    are the rows of one (size, depth) draw.  Digits come from comparisons
+    against the cdf thresholds and are held depth-major.
+    """
+    child_seeds = np.random.SeedSequence(seed).spawn(
+        (trials + chunk - 1) // chunk)
+    thresholds = _sample_thresholds(spec, depth)
+    dtype = _digit_dtype(spec, depth)
+    moduli = [spec.m(i) for i in range(1, depth + 1)]
+    k_digits = spec.digits_of(k, depth)
     violations = 0
     examples = []
-    done = 0
-    for c in range(n_chunks):
-        size = min(chunk, trials - done)
-        done += size
-        rng = np.random.Generator(np.random.PCG64(child_seeds[c]))
-        digits = np.empty((size, depth), dtype=np.int64)
-        u = rng.random((size, depth))
-        for i in range(depth):
-            digits[:, i] = np.searchsorted(cdfs[i], u[:, i], side="right")
-        in_b = membership(digits)
-        if not in_b.any():
-            continue
-        sub = digits[in_b]
-        image = _add_iterate(spec, sub, k)
-        bad = membership(image)
-        n_bad = int(np.count_nonzero(bad))
-        violations += n_bad
-        if n_bad and len(examples) < 3:
-            examples.extend(sub[bad][:3 - len(examples)].tolist())
+    for c, child in enumerate(child_seeds):
+        rng = np.random.Generator(np.random.PCG64(child))
+        size = min(chunk, trials - c * chunk)
+        for start in range(0, size, _SAMPLE_BLOCK):
+            u = rng.random((min(_SAMPLE_BLOCK, size - start), depth))
+            digits = np.zeros(u.shape, dtype=dtype)
+            for row in thresholds:
+                digits += u >= row
+            digits = np.ascontiguousarray(digits.T)
+            in_b = membership(digits)
+            if not in_b.any():
+                continue
+            bad = in_b & membership(_add_iterate(digits, moduli, k_digits))
+            n_bad = int(np.count_nonzero(bad))
+            violations += n_bad
+            if n_bad and len(examples) < 3:
+                cols = np.nonzero(bad)[0][:3 - len(examples)]
+                examples.extend(digits[:, cols].T.tolist())
     return violations, examples
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 from fractions import Fraction
 
 import dataclasses
@@ -113,6 +114,12 @@ def test_cli_classify_ok(tmp_path):
     doc = json.loads((tmp_path / "classify-ornstein.json").read_text())
     statuses = {v["criterion"]: v["status"] for v in doc["verdicts"]}
     assert statuses["hc-limsup-drop"].startswith("satisfied")
+    # the transitivity search budget trips from horizon 64 on; below it the
+    # search runs to its own conclusion
+    drop = {v["criterion"]: v for v in doc["verdicts"]}["hc-drop-hoeffding"]
+    assert drop["status"] == "inconclusive"
+    assert drop["evidence"]["reason"] == (
+        "no (offset, length) met both smallness conditions below eps=0.1")
 
 
 def test_cli_classify_translation_gamma_ids(tmp_path):
@@ -197,6 +204,18 @@ def test_cli_witness_unavailable_exits_one(tmp_path):
     code = main(["witness", "same-measure(1/2,1/2)", "--name", "fhc",
                  "--epsilon", "0.05", "--out", str(tmp_path)])
     assert code == 1
+
+
+def test_cli_witness_over_budget_is_inconclusive(tmp_path, capsys):
+    # the drops of Ornstein's candidate indices (m_i = i + 1) cost more than
+    # the cell cap; the search stops before computing any of them
+    start = time.perf_counter()
+    code = main(["witness", "ornstein", "--name", "transitivity",
+                 "--out", str(tmp_path)])
+    assert time.perf_counter() - start < 10
+    assert code == 1
+    assert capsys.readouterr().out.startswith("witness inconclusive: ")
+    assert not list(tmp_path.iterdir())
 
 
 def test_cli_orbit(tmp_path):

@@ -85,6 +85,44 @@ def test_cached_accessors_match_the_measure_family():
         assert "_coords" not in repr(spec)
 
 
+@pytest.mark.parametrize("gid", ["ornstein", "hc-not-mixing", "fhc-binary",
+                                 "fhc-not-mixing", "geometric-mixing",
+                                 "binary-alpha(1/4)", "same-measure(1/3,2/3)",
+                                 "trans-hc", "hoeffbis-blocks"])
+def test_scalar_accessors_match_the_measure_family(gid):
+    spec = gallery.get_spec(gid)
+    fam = spec.measure
+    for i in (1, 2, 3, 4, 5, 7):
+        m = spec.m(i)
+        pairs = [(spec.eta(i), fam.eta(i, m)), (spec.delta(i), fam.delta(i, m))]
+        for lo, hi in ((0, m - 1), (1, m // 2), (m - 1, m - 1), (2, 1),
+                       (-3, m + 4)):
+            pairs.append((spec.interval_measure(i, lo, hi),
+                          fam.interval_measure(i, m, lo, hi)))
+        for subset in ((), (0,), range(0, m, 2), (m - 1, m, 2 * m + 1)):
+            pairs.append((spec.subset_measure(i, subset),
+                          fam.subset_measure(i, m, subset)))
+        for got, want in pairs:
+            assert type(got) is type(want) and got == want, (gid, i)
+
+
+def test_scalar_accessors_read_the_memoised_vector(monkeypatch):
+    spec = gallery.get_spec("fhc-not-mixing")
+    calls = []
+    weights = type(spec.measure).weights
+
+    def counted(self, i, m):
+        calls.append(i)
+        return weights(self, i, m)
+
+    monkeypatch.setattr(type(spec.measure), "weights", counted)
+    for _ in range(3):
+        for i in range(1, 10):
+            spec.eta(i), spec.delta(i), spec.interval_measure(i, 0, 0)
+            spec.subset_measure(i, {1})
+    assert sorted(calls) == list(range(1, 10))
+
+
 def test_coordinate_memo_is_bounded():
     spec = gallery.get_spec("fhc-not-mixing")
     for i in range(1, 3 * COORD_MEMO_CAP):

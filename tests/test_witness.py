@@ -1,13 +1,17 @@
+import time
 from fractions import Fraction
 
 import pytest
 
 from odolab import gallery
-from odolab.errors import (HypothesisUnavailable, NotFoundWithinHorizon,
-                           StrategyInfeasible, WindowTooSmall)
+from odolab.criteria import evaluate
+from odolab.errors import (CapExceeded, HypothesisUnavailable,
+                           NotFoundWithinHorizon, StrategyInfeasible,
+                           WindowTooSmall)
 from odolab.maps import InducedBijection, odometer_pullback_measure
+from odolab.scalars import format_scalar
 from odolab.space import DepthSet, SystemSpec, build_truncation, set_measure
-from odolab.witness import (fhc_witness, find_transitivity_params,
+from odolab.witness import (_band_mass, fhc_witness, find_transitivity_params,
                             mixing_witness, rigidity_probe, shift_fhc_witness,
                             src_evaluate, src_search, transitivity_witness,
                             translation_witnesses, ufhc_count)
@@ -56,6 +60,32 @@ def test_transitivity_hc_not_mixing_plan(hc_not_mixing):
     assert all(d >= Fraction(1, 8) for d in plan.drops)
     assert float(plan.gap_sum) < 0.2
     assert plan.hoeffding_bound < 0.2
+
+
+def test_transitivity_search_budget_trips_up_front(ornstein):
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded):
+        find_transitivity_params(ornstein, 0.1)
+    assert time.perf_counter() - start < 5
+    v = evaluate(ornstein, "hc-drop-hoeffding", horizon=64, mode="numeric")
+    assert v.status == "inconclusive" and "cost" in v.evidence["reason"]
+    # the budget is the cell cap: 4 steps per binary index
+    binary = gallery.get_spec("binary-alpha(1/4)")
+    with pytest.raises(CapExceeded):
+        find_transitivity_params(binary, 0.1, cell_cap=100)
+    with pytest.raises(CapExceeded):
+        transitivity_witness(binary, 0.1, cell_cap=100)
+
+
+def test_transitivity_plan_carries_its_band_masses():
+    spec = gallery.get_spec("binary-alpha(1/4)")
+    plan = find_transitivity_params(spec, 0.1)
+    assert plan.band_masses == tuple(
+        _band_mass(spec, a, b) for a, b in zip(plan.indices, plan.indices[1:]))
+    assert plan.gap_sum == sum(plan.band_masses, Fraction(0))
+    rep = transitivity_witness(spec, 0.1, trials=1000)
+    assert rep.check("mass").extras["band_measures"] == [
+        format_scalar(x) for x in plan.band_masses]
 
 
 def test_transitivity_smallness_conditions_recorded():
