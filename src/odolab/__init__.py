@@ -21,7 +21,6 @@ from .witness import (WitnessReport, fhc_witness, mixing_witness,
                       rigidity_probe, shift_fhc_witness, src_evaluate,
                       src_search, transitivity_witness, translation_witnesses,
                       ufhc_count)
-from .gallery import (GALLERY, SolverSpec, get_spec, list_gallery,
-                      solve_parameter)
+from .gallery import GALLERY, get_spec, list_gallery
 
 __version__ = "0.1.0"

@@ -66,8 +66,7 @@ def _slug(identifier: str) -> str:
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_classify(args) -> int:
-    spec = load_spec(args.spec)
+def cmd_classify(args, spec: SystemSpec) -> int:
     entry = gallery.entry_for(spec)
     closed = entry.bound_verdict(spec) if entry and entry.bound_verdict else None
     bound = maps.boundedness(spec, min(args.horizon, 24), closed_form=closed)
@@ -107,8 +106,7 @@ def cmd_classify(args) -> int:
     return 1 if failed else 0
 
 
-def cmd_sequences(args) -> int:
-    spec = load_spec(args.spec)
+def cmd_sequences(args, spec: SystemSpec) -> int:
     out_dir = Path(args.out)
     kappa_param = parse_scalar(args.kappa) if args.kappa else Fraction(1, 5)
     if spec.kind == ODOMETER:
@@ -160,15 +158,16 @@ def cmd_sequences(args) -> int:
     return 0
 
 
-def cmd_witness(args) -> int:
-    spec = load_spec(args.spec)
+def cmd_witness(args, spec: SystemSpec) -> int:
     eps = float(args.epsilon)
     kappa_param = parse_scalar(args.kappa) if args.kappa else Fraction(1, 5)
+    # without --trials each sampling witness keeps its own default
+    sampling = {"seed": args.seed, "cell_cap": args.cap}
+    if args.trials is not None:
+        sampling["trials"] = args.trials
     try:
         if args.name == "transitivity":
-            rep = witness.transitivity_witness(spec, eps, trials=args.trials,
-                                               seed=args.seed,
-                                               cell_cap=args.cap)
+            rep = witness.transitivity_witness(spec, eps, **sampling)
         elif args.name == "mixing":
             rep = witness.mixing_witness(spec, eps, k=args.iterate
                                          or 10 ** 4, cell_cap=args.cap)
@@ -178,7 +177,7 @@ def cmd_witness(args) -> int:
         elif args.name == "ufhc-count":
             rep = witness.ufhc_count(spec, eps, kappa_param)
         elif args.name == "src":
-            rep = witness.src_search(spec, eps, cell_cap=args.cap)
+            rep = witness.src_search(spec, eps, **sampling)
         elif args.name == "rigidity":
             rep = witness.rigidity_probe(spec)
         elif args.name.startswith("translation-"):
@@ -212,14 +211,17 @@ def cmd_witness(args) -> int:
     return 0 if rep.passed else 1
 
 
-def cmd_orbit(args) -> int:
-    spec = load_spec(args.spec)
+def cmd_orbit(args, spec: SystemSpec) -> int:
     f_sym = [int(x) for x in args.f.split(",")]
     g_sym = [int(x) for x in args.g.split(",")]
     depth = max(args.depth, len(f_sym), len(g_sym))
-    f = SimpleFunction.indicator(_padded_cylinder(spec, f_sym, depth))
-    g = SimpleFunction.indicator(_padded_cylinder(spec, g_sym, depth))
-    trace = orbit_trace(spec, f, g, epsilon=float(args.epsilon),
+
+    def indicator(symbols):
+        fixed = {i: {s} for i, s in enumerate(symbols, start=1)}
+        return SimpleFunction.indicator(DepthSet.cylinder(spec, depth, fixed))
+
+    trace = orbit_trace(spec, indicator(f_sym), indicator(g_sym),
+                        epsilon=float(args.epsilon),
                         p=parse_scalar(args.p), horizon=args.horizon)
     out = Path(args.out) / f"orbit-{_slug(args.spec)}.tsv"
     write_tsv(out, trace.to_tsv_rows())
@@ -229,15 +231,7 @@ def cmd_orbit(args) -> int:
     return 0
 
 
-def _padded_cylinder(spec: SystemSpec, symbols, depth) -> DepthSet:
-    factors = [frozenset({s}) for s in symbols]
-    factors += [frozenset(range(spec.m(i)))
-                for i in range(len(symbols) + 1, depth + 1)]
-    return DepthSet.product_form(spec, factors)
-
-
-def cmd_norms(args) -> int:
-    spec = load_spec(args.spec)
+def cmd_norms(args, spec: SystemSpec) -> int:
     entry = gallery.entry_for(spec)
     closed = entry.bound_verdict(spec) if entry and entry.bound_verdict else None
     bound = maps.boundedness(spec, args.horizon, closed_form=closed)
@@ -316,6 +310,13 @@ def cmd_verify_gallery(args) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+SHARED_FLAGS = {
+    "horizon": {"type": int, "default": 50},
+    "epsilon": {"default": "0.1"},
+    "kappa": {"default": None},
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="odolab",
@@ -323,60 +324,52 @@ def build_parser() -> argparse.ArgumentParser:
                     "on product probability spaces")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, spec=True):
+    def command(name, fn, summary, *flags, spec=True):
+        """A subcommand taking --out and exactly the shared flags it reads."""
+        p = sub.add_parser(name, help=summary)
         if spec:
             p.add_argument("spec", help="gallery id or @config.json")
-        p.add_argument("--horizon", type=int, default=50)
-        p.add_argument("--depth", type=int, default=4)
-        p.add_argument("--epsilon", default="0.1")
-        p.add_argument("--kappa", default=None)
-        p.add_argument("--seed", type=int, default=witness.DEFAULT_SEED)
-        p.add_argument("--trials", type=int, default=witness.DEFAULT_TRIALS)
-        p.add_argument("--cap", type=int, default=witness.EXHAUSTIVE_CELL_CAP)
-        p.add_argument("--backend", choices=["rational", "float"], default=None)
+            p.add_argument("--backend", choices=["rational", "float"],
+                           default=None)
+        for flag in flags:
+            p.add_argument(f"--{flag}", **SHARED_FLAGS[flag])
         p.add_argument("--out", default="reports")
+        p.set_defaults(fn=fn)
+        return p
 
-    p = sub.add_parser("classify", help="boundedness plus every applicable verdict")
-    common(p)
-    p.set_defaults(fn=cmd_classify)
-
-    p = sub.add_parser("sequences", help="criterion tables as TSV")
-    common(p)
+    command("classify", cmd_classify,
+            "boundedness plus every applicable verdict", "horizon", "kappa")
+    p = command("sequences", cmd_sequences, "criterion tables as TSV",
+                "horizon", "kappa")
     p.add_argument("--index-horizon", type=int, default=8)
-    p.set_defaults(fn=cmd_sequences)
-
-    p = sub.add_parser("witness", help="run a named witness construction")
-    common(p)
+    p = command("witness", cmd_witness, "run a named witness construction",
+                "epsilon", "kappa")
     p.add_argument("--name", required=True)
+    p.add_argument("--seed", type=int, default=witness.DEFAULT_SEED)
+    p.add_argument("--trials", type=int, default=None)
+    p.add_argument("--cap", type=int, default=witness.EXHAUSTIVE_CELL_CAP)
     p.add_argument("--iterate", type=int, default=None)
-    p.set_defaults(fn=cmd_witness)
-
-    p = sub.add_parser("orbit", help="orbit trace of a cylinder indicator")
-    common(p)
+    p = command("orbit", cmd_orbit, "orbit trace of a cylinder indicator",
+                "epsilon", "horizon")
+    p.add_argument("--depth", type=int, default=4)
     p.add_argument("--f", default="0")
     p.add_argument("--g", default="1")
     p.add_argument("--p", default="1")
-    p.set_defaults(fn=cmd_orbit)
-
-    p = sub.add_parser("norms", help="boundedness / equivalence diagnostics")
-    common(p)
-    p.set_defaults(fn=cmd_norms)
-
+    command("norms", cmd_norms, "boundedness / equivalence diagnostics",
+            "horizon")
     p = sub.add_parser("gallery-list", help="list built-in systems")
     p.set_defaults(fn=cmd_gallery_list)
-
-    p = sub.add_parser("verify-gallery", help="registered expectation suite")
-    common(p, spec=False)
-    p.set_defaults(fn=cmd_verify_gallery)
+    command("verify-gallery", cmd_verify_gallery,
+            "registered expectation suite", spec=False)
     return top
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    spec_arg = getattr(args, "spec", None)
-    if spec_arg is not None:
+    spec = None
+    if getattr(args, "spec", None) is not None:
         try:
-            spec = load_spec(spec_arg)
+            spec = load_spec(args.spec)
         except (KeyError, ValueError, FileNotFoundError) as exc:
             print(f"bad spec: {exc}", file=sys.stderr)
             return 2
@@ -385,7 +378,7 @@ def main(argv=None) -> int:
                   f"{args.backend}", file=sys.stderr)
             return 2
     try:
-        return args.fn(args)
+        return args.fn(args) if spec is None else args.fn(args, spec)
     except OdolabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

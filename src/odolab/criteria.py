@@ -717,34 +717,19 @@ def _seq_min_kappa_interval_eta(spec, i, params):
                float(spec.eta(i)))
 
 
-def _structurally_bounded(spec) -> bool:
-    return spec.alphabet.family in ("constant", "list", "cycle-range")
-
-
-def _rule_fhc_from_eta_limit(spec, horizon, params):
-    """Bounded alphabets with max weights tending to 1 give the fhc family."""
-    if not _structurally_bounded(spec):
-        return Verdict(criterion="fhc-from-eta-limit", status=INCONCLUSIVE,
-                       mode="numeric-horizon",
-                       evidence={"reason": "alphabet rule is not bounded"},
+def _fhc_from_bounded(name: str, inner: str):
+    """Bounded alphabets plus the inner rule's hypothesis give the fhc family."""
+    def rule(spec, horizon, params):
+        if spec.alphabet.bounded_lcm() is None:
+            return Verdict(criterion=name, status=INCONCLUSIVE,
+                           mode="numeric-horizon",
+                           evidence={"reason": "alphabet rule is not bounded"},
+                           params=params)
+        verdict = _RULES[inner](spec, horizon, params)
+        return Verdict(criterion=name, status=verdict.status,
+                       mode="numeric-horizon", evidence=verdict.evidence,
                        params=params)
-    inner = _RULES["mixing-eta"](spec, horizon, params)
-    return Verdict(criterion="fhc-from-eta-limit", status=inner.status,
-                   mode="numeric-horizon", evidence=inner.evidence,
-                   params=params)
-
-
-def _rule_fhc_from_mixing(spec, horizon, params):
-    """Bounded alphabets plus the mixing hypothesis give the fhc family."""
-    if not _structurally_bounded(spec):
-        return Verdict(criterion="fhc-from-mixing", status=INCONCLUSIVE,
-                       mode="numeric-horizon",
-                       evidence={"reason": "alphabet rule is not bounded"},
-                       params=params)
-    inner = _RULES["mixing-kappa"](spec, horizon, params)
-    return Verdict(criterion="fhc-from-mixing", status=inner.status,
-                   mode="numeric-horizon", evidence=inner.evidence,
-                   params=params)
+    return rule
 
 
 _RULES = {
@@ -759,8 +744,8 @@ _RULES = {
     "fhc-eta": _limsup_near_one("fhc-eta", _seq_min_omega_eta),
     "fhc-bounded-tail": _limsup_near_one("fhc-bounded-tail",
                                          _seq_min_tailweight_eta),
-    "fhc-from-eta-limit": _rule_fhc_from_eta_limit,
-    "fhc-from-mixing": _rule_fhc_from_mixing,
+    "fhc-from-eta-limit": _fhc_from_bounded("fhc-from-eta-limit", "mixing-eta"),
+    "fhc-from-mixing": _fhc_from_bounded("fhc-from-mixing", "mixing-kappa"),
     "ufhc-odometer": _rule_ufhc_odometer,
     "ufhc-zero-heavy": _limsup_near_one("ufhc-zero-heavy",
                                         _seq_min_kappa_interval_eta),

@@ -99,11 +99,6 @@ def lp_norm(spec: SystemSpec, f: SimpleFunction, p: Scalar = 1) -> float:
     return _lp_float(build_truncation(spec, f.depth), f.values, pf)
 
 
-def lp_distance_pow(spec: SystemSpec, f: SimpleFunction, g: SimpleFunction,
-                    p: int = 1) -> Scalar:
-    return lp_norm_pow(spec, f - g, p)
-
-
 def lp_distance(spec: SystemSpec, f: SimpleFunction, g: SimpleFunction,
                 p: Scalar = 1) -> float:
     return lp_norm(spec, f - g, p)

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .errors import BracketFailure
-from .scalars import Scalar, format_scalar, parse_scalar
+from .scalars import format_scalar, parse_scalar
 from .space import (AlphabetRule, BinaryHalfPlusMeasure, BinaryRatioMeasure,
                     BlocksOfThreeMeasure, GeometricSolvedMeasure,
                     OrnsteinMeasure, RampMeasure, SameMeasure, ShiftWeights,
@@ -59,31 +59,6 @@ def solve_geometric_ratio(i: int, m: int, tol: float = 1e-12) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
-
-
-def solve_flat_weight(flat_count: int, rho: Fraction, ramp_len: int) -> Fraction:
-    """Exact flat weight from flat_count * eps + ((rho^n - 1)/(rho - 1)) eps = 1."""
-    rho = Fraction(rho)
-    geom = (rho ** ramp_len - 1) / (rho - 1)
-    return 1 / (Fraction(flat_count) + geom)
-
-
-@dataclass
-class SolverSpec:
-    equation: str          # "geometric-c" | "sumhc-epsilon"
-    params: dict = field(default_factory=dict)
-    tolerance: float = 1e-12
-
-
-def solve_parameter(solver: SolverSpec, i: int) -> Scalar:
-    if solver.equation == "geometric-c":
-        return solve_geometric_ratio(i, int(solver.params["m"]),
-                                     solver.tolerance)
-    if solver.equation == "sumhc-epsilon":
-        p = solver.params
-        rho = p["rho"] if isinstance(p["rho"], Fraction) else parse_scalar(str(p["rho"]))
-        return solve_flat_weight(int(p["flat_count"]), rho, int(p["n"]))
-    raise ValueError(f"unknown solver equation {solver.equation!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -56,6 +56,21 @@ class AlphabetRule:
             raise ValueError(f"alphabet rule produced m_{i}={size} < 2")
         return size
 
+    def bounded_lcm(self) -> Optional[int]:
+        """lcm of the alphabet sizes when the rule is structurally bounded.
+
+        Constant, list (cycled or repeating its last size) and cycle-range
+        rules take finitely many sizes; every other family gives None.
+        """
+        p = self.params
+        if self.family == "constant":
+            return int(p["m"])
+        if self.family == "list":
+            return math.lcm(*(int(x) for x in p["list"]))
+        if self.family == "cycle-range":
+            return math.lcm(*range(int(p["lo"]), int(p["hi"]) + 1))
+        return None
+
     def config(self) -> dict:
         return {"family": self.family, "params": dict(self.params)}
 
@@ -852,10 +867,6 @@ class SystemSpec:
             out.append(d)
         return out
 
-    def translation_order(self, depth: int) -> int:
-        self._product_only()
-        return math.lcm(*(self.m(i) for i in range(1, depth + 1)))
-
     def validate_coordinate(self, i: int):
         """Assert mu_i is a strictly positive probability vector.
 
@@ -1039,19 +1050,39 @@ class DepthSet:
     def basic_cylinder(spec: SystemSpec, symbols: Sequence[int]) -> "DepthSet":
         return DepthSet.product_form(spec, [{s} for s in symbols])
 
+    @staticmethod
+    def cylinder(spec: SystemSpec, depth: int,
+                 fixed: dict[int, Iterable[int]]) -> "DepthSet":
+        """Product form on coordinates 1..depth: the symbols fixed[i] where
+        given, the whole alphabet elsewhere."""
+        if any(not 1 <= i <= depth for i in fixed):
+            raise ValueError(f"fixed coordinates outside 1..{depth}")
+        return DepthSet.product_form(
+            spec, [fixed[i] if i in fixed else range(spec.m(i))
+                   for i in range(1, depth + 1)])
+
     def is_product(self) -> bool:
         return self.factors is not None
 
-    def to_cells(self, cap: Optional[int] = None) -> frozenset:
-        if self.cells is not None:
-            return self.cells
+    def mask(self, cap: Optional[int] = None) -> np.ndarray:
+        """Boolean array over the depth-N cells, True on the members."""
         tr = build_truncation(self.spec, self.depth, cap)
+        if self.cells is not None:
+            keep = np.zeros(tr.cell_count, dtype=bool)
+            keep[np.fromiter(self.cells, dtype=np.int64,
+                             count=len(self.cells))] = True
+            return keep
         keep = np.ones(tr.cell_count, dtype=bool)
         rest = np.arange(tr.cell_count)
         for m, f in zip(tr.ms, self.factors):
             rest, d = divmod(rest, m)
             keep &= np.isin(d, list(f))
-        return frozenset(np.flatnonzero(keep).tolist())
+        return keep
+
+    def to_cells(self, cap: Optional[int] = None) -> frozenset:
+        if self.cells is not None:
+            return self.cells
+        return frozenset(np.flatnonzero(self.mask(cap)).tolist())
 
     def explicit(self, cap: Optional[int] = None) -> "DepthSet":
         if self.cells is not None:

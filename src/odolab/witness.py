@@ -28,11 +28,11 @@ from .criteria import (alpha_shift_witness, disjoint_shift_set_zplus,
                        theta_witness)
 from .errors import (CapExceeded, HypothesisUnavailable,
                      NotFoundWithinHorizon, StrategyInfeasible, WindowTooSmall)
-from .functions import period_of
-from .maps import odometer_pullback_measure, translation_set_shift
+from .maps import (forward_image_measure, odometer_pullback_measure,
+                   preimage_measure, translation_set_shift)
 from .scalars import Scalar, format_scalar, is_exact
-from .space import (ODOMETER, SHIFT, TRANSLATION, DepthSet, SimpleFunction,
-                    SystemSpec, build_truncation, set_measure)
+from .space import (ODOMETER, SHIFT, TRANSLATION, DepthSet, SystemSpec,
+                    set_measure)
 
 EXHAUSTIVE_CELL_CAP = 1 << 22
 DEFAULT_TRIALS = 1_000_000
@@ -249,6 +249,21 @@ def _pair_sum_distribution(pairs: Sequence[tuple]) -> dict:
     return dist
 
 
+def _thresholds(pairs: Sequence[tuple], drops: Sequence[Scalar]) -> tuple:
+    """(t_x, t_y, ux_min, uy_max) for the concentration set.
+
+    t_x sums mu(D) - drop/3 and t_y sums mu(D + k) + drop/3 over the pair
+    laws, one term per pair; ux_min and uy_max are their integer roundings.
+    """
+    t_x = t_y = None
+    for (p11, p10, p01, _), drop in zip(pairs, drops):
+        tx_term = (p11 + p10) - drop / 3
+        ty_term = (p11 + p01) + drop / 3
+        t_x = tx_term if t_x is None else t_x + tx_term
+        t_y = ty_term if t_y is None else t_y + ty_term
+    return t_x, t_y, _ceil_scalar(t_x), _floor_scalar(t_y)
+
+
 def _concentration_mass(pairs: Sequence[tuple], ux_min: int,
                         uy_max: int) -> Scalar:
     """P(sum X_s >= ux_min and sum Y_s <= uy_max) under the pair laws."""
@@ -280,22 +295,10 @@ def transitivity_witness(spec: SystemSpec, epsilon: float,
     report.add("smallness-concentration", "exp bound < eps", epsilon,
                plan.hoeffding_bound, "exact", plan.hoeffding_bound < epsilon)
 
-    pairs = []
-    t_x = None
-    t_y = None
-    for i, D, k in zip(plan.indices, plan.sets, plan.shifts):
-        m = spec.m(i)
-        pairs.append(_pair_law(spec, i, D, frozenset((x + k) % m for x in D)))
-        p11, p10, p01, _ = pairs[-1]
-        mu_d = p11 + p10
-        mu_shift = p11 + p01
-        drop = mu_d - mu_shift
-        tx_term = mu_d - drop / 3
-        ty_term = mu_shift + drop / 3
-        t_x = tx_term if t_x is None else t_x + tx_term
-        t_y = ty_term if t_y is None else t_y + ty_term
-    ux_min = _ceil_scalar(t_x)
-    uy_max = _floor_scalar(t_y)
+    pairs = [_pair_law(spec, i, D, frozenset((x + k) % spec.m(i) for x in D))
+             for i, D, k in zip(plan.indices, plan.sets, plan.shifts)]
+    t_x, t_y, ux_min, uy_max = _thresholds(
+        pairs, [(p11 + p10) - (p11 + p01) for p11, p10, p01, _ in pairs])
 
     mu_xy = _concentration_mass(pairs, ux_min, uy_max)
     mu_b = mu_xy * math.prod(1 - x for x in plan.band_masses)
@@ -416,8 +419,13 @@ def _exhaustive_disjointness(spec, membership, depth, k) -> int:
         idx = np.arange(start, min(start + chunk, cells), dtype=np.int64)
         in_b[start:start + chunk] = membership(
             _digit_matrix_from_indices(spec, depth, idx))
-    image = (np.nonzero(in_b)[0] + k) % cells
-    return int(np.count_nonzero(in_b[image]))
+    return _self_overlap(in_b, k)
+
+
+def _self_overlap(mask: np.ndarray, k: int) -> int:
+    """Number of cells c of B with c + k in B, indices taken mod M."""
+    k %= len(mask)
+    return int(np.count_nonzero(mask & np.roll(mask, -k)))
 
 
 _SAMPLE_BLOCK = 4096      # points per draw; holds a draw to 4096 x depth floats
@@ -543,18 +551,14 @@ def mixing_witness(spec: SystemSpec, epsilon: float, k: int,
         raise HypothesisUnavailable(
             "shift-disjoint optima at the top digits fall below 1 - eps/3")
 
-    factors = [frozenset(range(spec.m(i))) for i in range(1, l - 1 + 1)]
-    factors += [d_l, d_next]
-    B = DepthSet.product_form(spec, factors)
+    B = DepthSet.cylinder(spec, l + 1, {l: d_l, l + 1: d_next})
     mu_b = set_measure(spec, B)
     report.add("mass", "mu(B) >= 1 - eps", 1 - epsilon, mu_b, "exact",
                float(mu_b) >= 1 - epsilon - 1e-15)
 
     cells = spec.cell_count(l + 1)
     if cells <= cell_cap:
-        b_cells = B.to_cells()
-        image = {(c + k) % cells for c in b_cells}
-        overlap = len(image & b_cells)
+        overlap = _self_overlap(B.mask(), k)
         report.add("disjoint", "o^k(B) and B meet nowhere", 0, overlap,
                    "exact", overlap == 0, cells=cells)
     else:
@@ -571,7 +575,6 @@ def mixing_witness(spec: SystemSpec, epsilon: float, k: int,
 # ---------------------------------------------------------------------------
 
 def fhc_witness(spec: SystemSpec, epsilon: float, kappa_param,
-                f: Optional[SimpleFunction] = None,
                 f_symbols: Optional[Sequence[int]] = None,
                 horizon: int = 400, spot_checks: int = 1000,
                 seed: int = DEFAULT_SEED,
@@ -582,8 +585,9 @@ def fhc_witness(spec: SystemSpec, epsilon: float, kappa_param,
     split-level defect 1 - gamma_N both fall below eps/2, builds the cylinder
     over the shifted optimal set, and verifies the two pullback families by
     k-uniform certified bounds plus exact transports (all k within budget,
-    else a seeded spot sample).  When a periodic function f is supplied, the
-    function-level inequalities for g = 1_B f are verified exactly at p = 1.
+    else a seeded spot sample).  When f_symbols name a basic cylinder F, the
+    function-level inequalities for f = 1_F and g = 1_B f are verified
+    exactly at p = 1.
     """
     if spec.kind != ODOMETER:
         raise ValueError("this witness drives the odometer")
@@ -610,10 +614,12 @@ def fhc_witness(spec: SystemSpec, epsilon: float, kappa_param,
                                    "kappa": kappa_param, "N": N, "j": j,
                                    "n": n_iter, "d": d_period, "seed": seed})
 
-    if f is None and f_symbols is not None:
-        f = SimpleFunction.indicator(DepthSet.basic_cylinder(spec, f_symbols))
-    if f is not None:
-        per = period_of(spec, f)
+    if f_symbols is not None:
+        # a basic depth-L cylinder returns after exactly M_{L+1} steps
+        f_fixed = {i: {s} for i, s in enumerate(f_symbols, start=1)}
+        f_depth = max(N, len(f_symbols))
+        f_set = DepthSet.cylinder(spec, f_depth, f_fixed)
+        per = spec.cell_count(len(f_symbols))
         if n_iter % per != 0:
             kappa_param = kappa_param / 2
             n_iter = ((n_iter // per) + 1) * per
@@ -623,9 +629,8 @@ def fhc_witness(spec: SystemSpec, epsilon: float, kappa_param,
             report.params.update(period_adjustment=False, f_period=per)
 
     shifted = frozenset((x + j) % m_n for x in D)
-    full = [frozenset(range(spec.m(i))) for i in range(1, N)]
-    B = DepthSet.product_form(spec, full + [shifted])
-    B_prime = DepthSet.product_form(spec, full + [D])
+    B = DepthSet.cylinder(spec, N, {N: shifted})
+    B_prime = DepthSet.cylinder(spec, N, {N: D})
     mu_shift = spec.subset_measure(N, shifted)
     mu_d = spec.subset_measure(N, D)
 
@@ -657,78 +662,41 @@ def fhc_witness(spec: SystemSpec, epsilon: float, kappa_param,
         ks = sorted({0, 1, kd} | set(
             int(x) for x in rng.integers(0, kd + 1, size=spot_checks)))
         coverage = f"seeded-spot({len(ks)})"
-    small_ok = large_ok = agree_ok = True
-    worst_small = None
-    worst_large = None
-    for k in ks:
-        small = odometer_pullback_measure(spec, B, k)
-        large = odometer_pullback_measure(spec, B, n_iter + k)
-        if worst_small is None or small > worst_small:
-            worst_small = small
-        if worst_large is None or large < worst_large:
-            worst_large = large
-        small_ok &= float(small) <= epsilon + 1e-15
-        large_ok &= float(large) >= 1 - epsilon - 1e-15
-        agree_ok &= (float(small) <= float(small_bound) + 1e-15
-                     and float(large) >= float(large_bound) - 1e-15)
+    # float() is monotone, so every k passes exactly when the worst k does
+    worst_small = max(odometer_pullback_measure(spec, B, k) for k in ks)
+    worst_large = min(odometer_pullback_measure(spec, B, n_iter + k)
+                      for k in ks)
+    agree_ok = (float(worst_small) <= float(small_bound) + 1e-15
+                and float(worst_large) >= float(large_bound) - 1e-15)
     report.add("pullback-small-transport", "exact transports <= eps",
-               epsilon, worst_small, "exact", small_ok, coverage=coverage)
+               epsilon, worst_small, "exact",
+               float(worst_small) <= epsilon + 1e-15, coverage=coverage)
     report.add("pullback-large-transport", "exact transports >= 1 - eps",
-               1 - epsilon, worst_large, "exact", large_ok, coverage=coverage)
+               1 - epsilon, worst_large, "exact",
+               float(worst_large) >= 1 - epsilon - 1e-15, coverage=coverage)
     report.add("bound-vs-transport", "certified bounds dominate transports",
                "bounds", "ok" if agree_ok else "violated", "exact", agree_ok)
 
-    if f is not None:
-        g_small_ok = g_large_ok = True
-        worst_g_small = worst_g_large = None
-        f_factors = _indicator_factors(spec, f)
-        bf = DepthSet.product_form(spec, _merge_factors(spec, f_factors,
-                                                        N, shifted))
-        bprime_f = DepthSet.product_form(spec, _merge_factors(spec, f_factors,
-                                                              N, D))
-        f_set = DepthSet.product_form(
-            spec, f_factors + [frozenset(range(spec.m(r)))
-                               for r in range(len(f_factors) + 1, N + 1)])
-        for k in ks:
-            val = odometer_pullback_measure(spec, bf, k)
-            if worst_g_small is None or val > worst_g_small:
-                worst_g_small = val
-            g_small_ok &= float(val) <= epsilon + 1e-15
-            # C^(n+k) g is the indicator of o^-k(B' and F) because o^-n
-            # fixes F (n is a multiple of its period) and sends B to B'
-            f_k = odometer_pullback_measure(spec, f_set, k)
-            fb_k = odometer_pullback_measure(spec, bprime_f, k)
-            dist = f_k - fb_k
-            if worst_g_large is None or dist > worst_g_large:
-                worst_g_large = dist
-            g_large_ok &= float(dist) <= epsilon + 1e-15
+    if f_symbols is not None:
+        # C^(n+k) g is the indicator of o^-k(B' and F) because o^-n fixes F
+        # (n is a multiple of its period) and sends B to B'
+        bf = DepthSet.cylinder(
+            spec, f_depth, {**f_fixed, N: f_fixed.get(N, shifted) & shifted})
+        bprime_f = DepthSet.cylinder(
+            spec, f_depth, {**f_fixed, N: f_fixed.get(N, D) & D})
+        worst_g_small = max(odometer_pullback_measure(spec, bf, k) for k in ks)
+        worst_g_large = max(odometer_pullback_measure(spec, f_set, k)
+                            - odometer_pullback_measure(spec, bprime_f, k)
+                            for k in ks)
         report.add("function-small", "||C^k g||_1 <= eps for k <= kappa d",
-                   epsilon, worst_g_small, "exact", g_small_ok,
-                   coverage=coverage)
+                   epsilon, worst_g_small, "exact",
+                   float(worst_g_small) <= epsilon + 1e-15, coverage=coverage)
         report.add("function-close", "||C^(n+k) g - C^k f||_1 <= eps",
-                   epsilon, worst_g_large, "exact", g_large_ok,
-                   coverage=coverage)
+                   epsilon, worst_g_large, "exact",
+                   float(worst_g_large) <= epsilon + 1e-15, coverage=coverage)
     report.objects.update(B=B, B_prime=B_prime, D=D, shifted=shifted, N=N,
                           n=n_iter, d=d_period, ks=ks)
     return report
-
-
-def _indicator_factors(spec: SystemSpec, f: SimpleFunction) -> list:
-    """Factors of the basic cylinder an indicator f was built on."""
-    tr = build_truncation(spec, f.depth)
-    cells = [c for c, v in enumerate(f.values) if v != 0]
-    if len(cells) != 1 or any(v not in (0, 1) for v in f.values):
-        raise ValueError("function-level checks expect a basic cylinder indicator")
-    return [frozenset({d}) for d in tr.digits(cells[0])]
-
-
-def _merge_factors(spec: SystemSpec, f_factors: list, N: int,
-                   top: frozenset) -> list:
-    out = list(f_factors)
-    for r in range(len(f_factors) + 1, N):
-        out.append(frozenset(range(spec.m(r))))
-    out.append(top)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -765,10 +733,8 @@ def ufhc_count(spec: SystemSpec, epsilon: float, kappa_param=Fraction(1, 5),
             raise HypothesisUnavailable(
                 "no depth satisfied the tilted-interval inequality")
         i, D, j, tilt = found
-        m_i = spec.m(i)
-        shifted = frozenset((x + j) % m_i for x in D)
-        full = [frozenset(range(spec.m(r))) for r in range(1, i)]
-        B = DepthSet.product_form(spec, full + [shifted])
+        shifted = frozenset((x + j) % spec.m(i) for x in D)
+        B = DepthSet.cylinder(spec, i, {i: shifted})
         n_iter = j * spec.radix_weights(i)[i - 1]
         report.params.update(depth=i, j=j, n=n_iter)
         report.add("tilted-interval", "interval mass < eps/2", delta_target,
@@ -780,9 +746,7 @@ def ufhc_count(spec: SystemSpec, epsilon: float, kappa_param=Fraction(1, 5),
     m_count = count_window or math.ceil((1 + kappa_param) * n_iter)
     qualifying = []
     for k in range(1, m_count + 1):
-        mass = odometer_pullback_measure(spec, B, k) if spec.kind == ODOMETER \
-            else set_measure(spec, translation_set_shift(spec, B, k))
-        if float(1 - mass) <= epsilon + 1e-15:
+        if float(1 - preimage_measure(spec, B, k)) <= epsilon + 1e-15:
             qualifying.append(k)
     achieved = Fraction(len(qualifying), m_count)
     predicted = kappa_param / (1 + kappa_param)
@@ -805,7 +769,6 @@ def ufhc_count(spec: SystemSpec, epsilon: float, kappa_param=Fraction(1, 5),
 
 def src_evaluate(spec: SystemSpec, B: DepthSet, n: int) -> dict:
     """The runaway product mu(map^n(B)) * mu(map^-n(B)), exactly."""
-    from .maps import forward_image_measure, preimage_measure
     fwd = forward_image_measure(spec, B, n)
     back = preimage_measure(spec, B, n)
     return {"forward": fwd, "backward": back, "product": fwd * back}
@@ -824,41 +787,36 @@ def _cylinder_candidates(spec: SystemSpec, i: int):
 
 def src_search(spec: SystemSpec, epsilon: float, depth_horizon: int = 8,
                iterate_horizon: int = 64,
-               cell_cap: int = EXHAUSTIVE_CELL_CAP) -> WitnessReport:
+               cell_cap: int = EXHAUSTIVE_CELL_CAP, seed: int = DEFAULT_SEED,
+               trials: int = 100_000) -> WitnessReport:
     """Scan the product-cylinder family for a runaway pair (B, n).
 
     Success requires the complement of B to be small, B to miss its n-th
     image, and the runaway product to fall below eps; the two forms are
     checked independently.  Falls back to the concentration witness for
-    odometers, and raises NotFoundWithinHorizon when everything fails.
+    odometers (seed and trials drive its sampled rung), and raises
+    NotFoundWithinHorizon when everything fails.
     """
     report = WitnessReport(construction="src-search",
                            params={"epsilon": epsilon,
                                    "depth_horizon": depth_horizon,
                                    "iterate_horizon": iterate_horizon})
 
-    def try_pair(B: DepthSet, n: int, method: str) -> bool:
-        comp = 1 - set_measure(spec, B)
-        if float(comp) >= epsilon:
-            return False
-        if spec.kind == TRANSLATION:
-            shifted_back = translation_set_shift(spec, B, -n)
-            inter = [a & b for a, b in zip(B.factors, shifted_back.factors)]
-            disjoint = any(len(s) == 0 for s in inter)
-        else:
-            cells = spec.cell_count(B.depth)
-            if cells > cell_cap:
+    def try_pair(B: DepthSet, comp: Scalar, mask, n: int) -> bool:
+        # mask is None on a translation: B misses its n-th image when some
+        # factor misses its own shift
+        if mask is None:
+            back = translation_set_shift(spec, B, -n)
+            if all(a & b for a, b in zip(B.factors, back.factors)):
                 return False
-            b_cells = B.to_cells()
-            disjoint = not ({(c + n) % cells for c in b_cells} & b_cells)
-        if not disjoint:
+        elif _self_overlap(mask, n):
             return False
         vals = src_evaluate(spec, B, n)
         if float(vals["product"]) >= epsilon:
             return False
         report.add("complement-small", "mu(complement of B) < eps", epsilon,
                    comp, "exact", True)
-        report.add("disjoint", "B misses its n-th image", 0, 0, method, True)
+        report.add("disjoint", "B misses its n-th image", 0, 0, "exact", True)
         report.add("runaway-product", "mu(map^n B) mu(map^-n B) < eps",
                    epsilon, vals["product"], "exact", True,
                    forward=_fmt(vals["forward"]), backward=_fmt(vals["backward"]))
@@ -868,21 +826,25 @@ def src_search(spec: SystemSpec, epsilon: float, depth_horizon: int = 8,
 
     for depth in range(1, depth_horizon + 1):
         for s in _cylinder_candidates(spec, depth):
-            full = [frozenset(range(spec.m(r))) for r in range(1, depth)]
-            B = DepthSet.product_form(spec, full + [s])
+            B = DepthSet.cylinder(spec, depth, {depth: s})
+            comp = 1 - set_measure(spec, B)
+            if float(comp) >= epsilon:
+                continue
             if spec.kind == TRANSLATION:
-                iter_set = range(1, iterate_horizon + 1)
+                mask, iter_set = None, range(1, iterate_horizon + 1)
+            elif spec.cell_count(depth) > cell_cap:
+                continue
             else:
+                mask = B.mask()
                 base = spec.radix_weights(depth)[depth - 1]
                 iter_set = [j * base for j in range(1, spec.m(depth))]
             for n in iter_set:
-                if n > iterate_horizon and spec.kind == TRANSLATION:
-                    break
-                if try_pair(B, n, "exact"):
+                if try_pair(B, comp, mask, n):
                     return report
     if spec.kind == ODOMETER:
         try:
-            tw = transitivity_witness(spec, epsilon / 3, trials=100_000)
+            tw = transitivity_witness(spec, epsilon / 3, trials=trials,
+                                      seed=seed)
         except StrategyInfeasible:
             tw = None
         if tw is not None and tw.passed:
@@ -892,10 +854,9 @@ def src_search(spec: SystemSpec, epsilon: float, depth_horizon: int = 8,
             report.add("complement-small", "mu(complement of B) < eps",
                        epsilon, comp, "independence-product",
                        float(comp) < epsilon)
+            inner = tw.check("disjoint")
             report.add("disjoint", "B misses its k-th image", 0,
-                       tw.check("disjoint").computed,
-                       tw.check("disjoint").method,
-                       tw.check("disjoint").ok)
+                       inner.computed, inner.method, inner.ok, **inner.extras)
             report.add("runaway-product", "product < eps (via disjointness)",
                        epsilon, product_bound, "proof-bound",
                        float(product_bound) < epsilon)
@@ -911,20 +872,6 @@ def src_search(spec: SystemSpec, epsilon: float, depth_horizon: int = 8,
 # translation-side witnesses
 # ---------------------------------------------------------------------------
 
-def _bounded_alphabet(spec: SystemSpec, probe: int = 64) -> Optional[int]:
-    """lcm of the alphabet sizes when the rule is structurally bounded."""
-    fam = spec.alphabet.family
-    if fam == "constant":
-        return int(spec.alphabet.params["m"])
-    if fam == "list" and spec.alphabet.params.get("repeat", "cycle") == "cycle":
-        return math.lcm(*(int(x) for x in spec.alphabet.params["list"]))
-    if fam == "cycle-range":
-        lo = int(spec.alphabet.params["lo"])
-        hi = int(spec.alphabet.params["hi"])
-        return math.lcm(*range(lo, hi + 1))
-    return None
-
-
 def translation_witnesses(spec: SystemSpec, which: str,
                           params: Optional[dict] = None) -> WitnessReport:
     """Dispatch the translation/shift constructions by name.
@@ -936,7 +883,7 @@ def translation_witnesses(spec: SystemSpec, which: str,
         return shift_fhc_witness(spec, **params)
     if spec.kind != TRANSLATION:
         raise ValueError("translation witness on a non-translation spec")
-    order = _bounded_alphabet(spec)
+    order = spec.alphabet.bounded_lcm()
     if order is not None:
         raise HypothesisUnavailable(
             f"degenerate: the translation has finite order {order} "
@@ -976,15 +923,14 @@ def _single_site_witness(spec: SystemSpec, epsilon: float = 0.1,
         if float(val) < 1 - epsilon:
             continue
         shifted = frozenset((x + n) % m for x in D)
-        full = [frozenset(range(spec.m(r))) for r in range(1, i)]
-        B = DepthSet.product_form(spec, full + [shifted])
+        B = DepthSet.cylinder(spec, i, {i: shifted})
         report.params.update(site=i, n=n)
         report.add("site-mass", "mu_i(D) >= 1 - eps", 1 - epsilon, val,
                    "exact", True)
-        overlap = D & frozenset((x + n) % m for x in D)
+        overlap = D & shifted
         report.add("site-disjoint", "(D + n) misses D", 0, len(overlap),
                    "exact", len(overlap) == 0)
-        back = set_measure(spec, translation_set_shift(spec, B, n))
+        back = preimage_measure(spec, B, n)
         report.add("pullback-large", "mu(t^-n(B)) >= 1 - eps", 1 - epsilon,
                    back, "exact", float(back) >= 1 - epsilon - 1e-12)
         report.add("set-small", "mu(B) <= eps", epsilon, set_measure(spec, B),
@@ -1002,23 +948,18 @@ def _translation_hoeffding_witness(spec: SystemSpec, sites: Sequence[int],
                            params={"sites": list(sites), "n": n,
                                    "epsilon": epsilon})
     pairs = []
-    t_x = t_y = None
-    drop_total = None
+    drops = []
     for i in sites:
         m = spec.m(i)
         val, D, _ = theta_witness(spec, i, shift=n % m)
         pairs.append(_pair_law(spec, i, D, frozenset((x + n) % m for x in D)))
-        p11, p10, p01, _ = pairs[-1]
-        mu_d, mu_s = p11 + p10, p11 + p01
-        t_x = (mu_d - val / 3) if t_x is None else t_x + mu_d - val / 3
-        t_y = (mu_s + val / 3) if t_y is None else t_y + mu_s + val / 3
-        drop_total = val if drop_total is None else drop_total + val
+        drops.append(val)
+    drop_total = sum(drops[1:], drops[0])
     report.add("separation", "total drop > 0 (forces disjointness)", 0,
                drop_total, "exact", float(drop_total) > 0)
     n_sites = len(pairs)
     floor = 1 - 2 * math.exp(-(2.0 / (9 * n_sites)) * float(drop_total) ** 2)
-    ux_min = _ceil_scalar(t_x)
-    uy_max = _floor_scalar(t_y)
+    t_x, t_y, ux_min, uy_max = _thresholds(pairs, drops)
     mu_b = _concentration_mass(pairs, ux_min, uy_max)
     report.add("mass-vs-floor", "exact mu(B) >= concentration floor", floor,
                mu_b, "independence-product", float(mu_b) >= floor - 1e-12)

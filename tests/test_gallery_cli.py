@@ -9,8 +9,8 @@ import pytest
 
 from odolab import gallery
 from odolab.cli import main, verify_gallery
-from odolab.gallery import (GALLERY, SolverSpec, get_spec, list_gallery,
-                            solve_geometric_ratio, solve_parameter)
+from odolab.gallery import (GALLERY, get_spec, list_gallery,
+                            solve_geometric_ratio)
 
 
 # ---------------------------------------------------------------------------
@@ -29,16 +29,6 @@ def test_geometric_ratio_brackets():
             assert 1.0 / (i + 1) < c <= 1.0 / i + 1e-12
             # it really solves the equation
             assert abs(math.fsum(c ** j for j in range(m)) - (i + 1) / i) < 1e-9
-
-
-def test_sumhc_epsilon_exact():
-    spec = SolverSpec("sumhc-epsilon", {"flat_count": 2, "rho": 2, "n": 2})
-    assert solve_parameter(spec, 1) == Fraction(1, 5)
-
-
-def test_solver_spec_via_registry():
-    spec = SolverSpec("geometric-c", {"m": 2})
-    assert abs(solve_parameter(spec, 5) - 0.2) < 1e-12
 
 
 # ---------------------------------------------------------------------------
