@@ -34,16 +34,17 @@ SHIFT_CRITERIA = ["shift-salas"]
 def load_spec(identifier: str) -> SystemSpec:
     """Gallery id ("fhc-binary", "binary-alpha(2)") or @path to a config file.
 
-    A product spec from a config file must have a valid first coordinate;
-    a malformed config raises ValueError.
+    A product spec must have a valid first coordinate; a malformed config or
+    gallery id raises ValueError.
     """
     if identifier.startswith("@"):
-        cfg = json.loads(Path(identifier[1:]).read_text())
-        spec = SystemSpec.from_config(cfg)
-        if spec.kind != SHIFT:
-            spec.validate_coordinate(1)
-        return spec
-    return gallery.get_spec(identifier)
+        spec = SystemSpec.from_config(
+            json.loads(Path(identifier[1:]).read_text()))
+    else:
+        spec = gallery.get_spec(identifier)
+    if spec.kind != SHIFT:
+        spec.validate_coordinate(1)
+    return spec
 
 
 def write_tsv(path: Path, rows) -> None:

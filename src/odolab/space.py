@@ -21,14 +21,11 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import CapExceeded
-from .scalars import FLOAT_TOL, Scalar, integer_view, is_exact, scalar_sum
+from .scalars import (FLOAT_TOL, Scalar, integer_view, is_exact, parse_scalar,
+                      scalar_sum)
 
 ENUM_CAP = 1 << 24          # default cell cap for truncation enumeration
-VECTOR_CAP = 1 << 16        # cap for materializing one coordinate's weights
-# Coordinates a spec keeps memoised; past this the memo starts over.  Deep
-# transports and truncations use far fewer, and a scan over thousands of
-# indices, each used a few times, holds no more memory than this.
-COORD_MEMO_CAP = 256
+VECTOR_CAP = 1 << 16        # cap on one coordinate's weights and on a memo
 GEOM_EXACT_CAP = 512        # longest geometric ramp kept in exact rationals
 
 ODOMETER = "odometer"
@@ -143,13 +140,11 @@ class MeasureFamily:
     Subclasses either materialize the whole vector (small alphabets) or expose
     a piecewise-geometric description (huge alphabets).  `backend` declares
     whether weights are exact rationals ("rational") or floats ("float").
-    `materialized` says that `weight(i, m, j)` is `weights(i, m)[j % m]`, so
-    SystemSpec may keep the vector; piecewise families set it False and keep
-    no vector.
+    `weight(i, m, j)` equals `weights(i, m)[j % m]` in value; an override may
+    differ from it only in the rounding of float weights.
     """
 
     name: str = ""
-    materialized: bool = True
 
     def __init__(self, params: dict):
         self.params = dict(params)
@@ -163,8 +158,9 @@ class MeasureFamily:
         return "rational"
 
     # -- generic accessors (overridable with closed forms) ------------------
-    # The defaults of eta, delta, interval_measure and subset_measure read
-    # only the weight vector, so SystemSpec serves them from its memo.
+    # The defaults of eta, delta, interval_measure, subset_measure and
+    # sup_shift_ratio read only the weight vector, so SystemSpec serves them
+    # from its memo.
     def weight(self, i: int, m: int, j: int) -> Scalar:
         return self.weights(i, m)[j % m]
 
@@ -183,11 +179,7 @@ class MeasureFamily:
 
     def sup_shift_ratio(self, i: int, m: int, s: int) -> Scalar:
         """sup_j mu_i(j - s mod m) / mu_i(j); equals 1 when s = 0 mod m."""
-        s %= m
-        if s == 0:
-            return Fraction(1)
-        w = self.weights(i, m)
-        return max(w[(j - s) % m] / w[j] for j in range(m))
+        return _shift_ratio(self.weights(i, m), s)
 
     def config(self) -> dict:
         return {"family": self.name, "params": dict(self.params)}
@@ -207,6 +199,14 @@ def _interval_sum(w: Sequence[Scalar], lo: int, hi: int,
 
 def _subset_sum(w: Sequence[Scalar], subset: Iterable[int]) -> Scalar:
     return scalar_sum(w[j % len(w)] for j in subset)
+
+
+def _shift_ratio(w: Sequence[Scalar], s: int) -> Scalar:
+    m = len(w)
+    s %= m
+    if s == 0:
+        return Fraction(1)
+    return max(w[(j - s) % m] / w[j] for j in range(m))
 
 
 class UniformMeasure(MeasureFamily):
@@ -236,7 +236,6 @@ class SameMeasure(MeasureFamily):
 
     def __init__(self, params):
         super().__init__(params)
-        from .scalars import parse_scalar
         self._nu = tuple(parse_scalar(t) if isinstance(t, str) else Fraction(t)
                          for t in params["weights"])
 
@@ -276,9 +275,10 @@ class BinaryHalfPlusMeasure(MeasureFamily):
 
     def __init__(self, params):
         super().__init__(params)
-        from .scalars import parse_scalar
         a = params["alpha"]
         self._alpha = parse_scalar(a) if isinstance(a, str) else Fraction(a)
+        if self._alpha <= 0:
+            raise ValueError(f"alpha must be positive, not {a}")
         self._rational = (isinstance(self._alpha, Fraction)
                           and self._alpha.denominator == 1)
 
@@ -305,12 +305,6 @@ class BinaryHalfPlusMeasure(MeasureFamily):
             return (Fraction(1, 2) + p, Fraction(1, 2) - p)
         return (0.5 + p, 0.5 - p)
 
-    def eta(self, i, m):
-        return self.weights(i, 2)[0]
-
-    def delta(self, i, m):
-        return self.weights(i, 2)[1]
-
 
 class BinaryRatioMeasure(MeasureFamily):
     """Binary weights (i/(i+1), 1/(i+1))."""
@@ -321,12 +315,6 @@ class BinaryRatioMeasure(MeasureFamily):
         if m != 2:
             raise ValueError("binary measure family on a non-binary alphabet")
         return (Fraction(i, i + 1), Fraction(1, i + 1))
-
-    def eta(self, i, m):
-        return Fraction(i, i + 1)
-
-    def delta(self, i, m):
-        return Fraction(1, i + 1)
 
 
 class BlocksOfThreeMeasure(MeasureFamily):
@@ -394,20 +382,13 @@ class GeometricSolvedMeasure(MeasureFamily):
 
     name = "geometric-solved"
 
-    def __init__(self, params):
-        super().__init__(params)
-        self._roots: dict[int, float] = {}
-
     @property
     def backend(self):
         return "float"
 
     def ratio(self, i: int, m: int) -> float:
-        key = (i, m)
-        if key not in self._roots:
-            from .gallery import solve_geometric_ratio
-            self._roots[key] = solve_geometric_ratio(i, m)
-        return self._roots[key]
+        from .gallery import solve_geometric_ratio
+        return solve_geometric_ratio(i, m)
 
     def weights(self, i, m):
         _check_vector_cap(m)
@@ -417,9 +398,6 @@ class GeometricSolvedMeasure(MeasureFamily):
 
     def eta(self, i, m):
         return Fraction(i, i + 1)
-
-    def delta(self, i, m):
-        return (i / (i + 1)) * self.ratio(i, m) ** (m - 1)
 
 
 class RampMeasure(MeasureFamily):
@@ -437,7 +415,6 @@ class RampMeasure(MeasureFamily):
     """
 
     name = "ramp"
-    materialized = False
 
     def __init__(self, params):
         super().__init__(params)
@@ -488,9 +465,6 @@ class RampMeasure(MeasureFamily):
             return Fraction(1, 2 ** i * prev_m)
         raise ValueError(f"unknown delta rule {rule!r}")
 
-    def _exact(self, i: int, n: int) -> bool:
-        return n <= GEOM_EXACT_CAP
-
     def pieces(self, i: int, m: int) -> tuple[tuple[int, int, Scalar, Scalar], ...]:
         """((start, length, first_weight, ratio), ...) in position order."""
         key = (i, m)
@@ -504,7 +478,7 @@ class RampMeasure(MeasureFamily):
             u = Fraction(1, m)
             return ((0, m, u, Fraction(1)),)
         delta = self.delta_value(i)
-        if self._exact(i, n):
+        if n <= GEOM_EXACT_CAP:
             rho = 1 + delta
             geom_sum = (rho ** n - 1) / delta
             eps = 1 / (Fraction(m - n) + geom_sum)
@@ -534,8 +508,8 @@ class RampMeasure(MeasureFamily):
 
     @property
     def backend(self):
-        # rational as long as every *used* ramp stays below the exact cap;
-        # declared float once any gallery horizon materializes a long ramp.
+        # Always "rational", although ramps longer than GEOM_EXACT_CAP
+        # evaluate in floats; ROADMAP item 3 makes this tag honest.
         return "rational"
 
     # -- accessors built on the piece list -----------------------------------
@@ -673,7 +647,6 @@ class ShiftWeights:
         self.params = dict(params)
         if family != "geometric-abs":
             raise ValueError(f"unknown shift weight family {family!r}")
-        from .scalars import parse_scalar
         r = params["ratio"]
         self.ratio = parse_scalar(r) if isinstance(r, str) else Fraction(r)
         if not 0 < self.ratio < 1:
@@ -703,19 +676,17 @@ _UNSET = object()
 
 
 class _Coord:
-    """Memoised view of one coordinate, filled in as it is first used.
+    """Memoised view of one coordinate, each part filled in on first use.
 
-    `weights` stays None for families that keep no vector; `ints` is the
-    integer form of the weights, (numerators, lcm denominator), or None when
-    a weight is a float.
+    `weights` is the family's vector and `row` its per-symbol `weight`s;
+    `ints` is (numerators, lcm denominator), or None for float weights.
     """
 
-    __slots__ = ("m", "weights", "ints")
+    __slots__ = ("m", "weights", "row", "ints")
 
     def __init__(self, m: int):
         self.m = m
-        self.weights = None
-        self.ints = _UNSET
+        self.weights = self.row = self.ints = _UNSET
 
 
 @dataclass
@@ -724,7 +695,9 @@ class SystemSpec:
 
     kind is "odometer", "diagonal-translation" or "weighted-shift".  Product
     kinds carry an alphabet rule and a measure family; the shift kind carries
-    an index set and shift weights.  Coordinates are memoised on first use.
+    an index set and shift weights.  Coordinates are memoised on first use,
+    up to VECTOR_CAP entries: 1 per coordinate plus the length of each
+    vector stored.  Past that the memo starts over.
     """
 
     kind: str
@@ -736,6 +709,7 @@ class SystemSpec:
     enum_cap: int = ENUM_CAP
     _coords: dict = field(default_factory=dict, init=False, repr=False,
                           compare=False)
+    _held: int = field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind in (ODOMETER, TRANSLATION):
@@ -760,28 +734,54 @@ class SystemSpec:
         coord = self._coords.get(i)
         if coord is None:
             self._product_only()
-            if len(self._coords) >= COORD_MEMO_CAP:
+            if self._held >= VECTOR_CAP:
                 self._coords.clear()
+                self._held = 0
             coord = self._coords[i] = _Coord(self.alphabet.m(i))
+            self._held += 1
         return coord
+
+    def _keep(self, i: int, slot: str, value):
+        """Store and return coordinate i's `slot`, charged m_i unless it is
+        None or the held vector; past VECTOR_CAP, start over unstored."""
+        coord = self._coord(i)
+        size = 0 if value is None or value is coord.weights else coord.m
+        if self._held + size <= VECTOR_CAP:
+            self._held += size
+            setattr(coord, slot, value)
+        elif size < VECTOR_CAP:  # a vector no memo can hold clears nothing
+            self._coords.clear()
+            self._held = 0
+        return value
 
     def m(self, i: int) -> int:
         return self._coord(i).m
 
     def mu(self, i: int) -> tuple:
         coord = self._coord(i)
-        if coord.weights is not None:
-            return coord.weights
-        weights = self.measure.weights(i, coord.m)
-        if self.measure.materialized:
-            coord.weights = weights
-        return weights
+        if coord.weights is _UNSET:
+            return self._keep(i, "weights", self.measure.weights(i, coord.m))
+        return coord.weights
 
     def mu_weight(self, i: int, j: int) -> Scalar:
         coord = self._coord(i)
-        if self.measure.materialized:
-            return (coord.weights or self.mu(i))[j % coord.m]
-        return self.measure.weight(i, coord.m, j)
+        if coord.row is _UNSET:
+            if coord.m > VECTOR_CAP and not self._vector_default("weight"):
+                return self.measure.weight(i, coord.m, j)
+            return self._symbol_row(i)[j % coord.m]
+        return coord.row[j % coord.m]
+
+    def _symbol_row(self, i: int) -> tuple:
+        # the vector itself, unless `weight` is overridden on float weights,
+        # where a ramp's per-symbol powers and iterated products differ
+        row = self._coord(i).row
+        if row is _UNSET:
+            row = self.mu(i)
+            if not (self._vector_default("weight") or all(map(is_exact, row))):
+                row = tuple(self.measure.weight(i, len(row), j)
+                            for j in range(len(row)))
+            self._keep(i, "row", row)
+        return row
 
     def integer_weights(self, i: int) -> Optional[tuple]:
         """(numerators, denominator) of mu_i over the lcm of its denominators.
@@ -789,13 +789,10 @@ class SystemSpec:
         None when any weight is a float.  The exact kernels multiply these
         integers and build one Fraction at the end.
         """
-        coord = self._coord(i)
-        if coord.ints is _UNSET:
-            ints = integer_view(self.mu(i))
-            if not self.measure.materialized:
-                return ints
-            coord.ints = ints
-        return coord.ints
+        ints = self._coord(i).ints
+        if ints is _UNSET:
+            return self._keep(i, "ints", integer_view(self.mu(i)))
+        return ints
 
     def weight_rows(self, depth: int) -> tuple[list, bool]:
         """Per-coordinate (weights, denominator) rows for i = 1 .. depth.
@@ -808,8 +805,7 @@ class SystemSpec:
         rows = [self.integer_weights(i) for i in range(1, depth + 1)]
         if all(r is not None for r in rows):
             return rows, True
-        return [(tuple(self.mu_weight(i, j) for j in range(self.m(i))), 1)
-                for i in range(1, depth + 1)], False
+        return [(self._symbol_row(i), 1) for i in range(1, depth + 1)], False
 
     def _vector_default(self, name: str) -> bool:
         """Whether the family keeps MeasureFamily's default for `name`,
@@ -838,7 +834,8 @@ class SystemSpec:
         return self.measure.subset_measure(i, self.m(i), subset)
 
     def sup_shift_ratio(self, i: int, s: int) -> Scalar:
-        self._product_only()
+        if self._vector_default("sup_shift_ratio"):
+            return _shift_ratio(self.mu(i), s)
         return self.measure.sup_shift_ratio(i, self.m(i), s)
 
     @property

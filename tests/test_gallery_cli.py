@@ -133,6 +133,18 @@ def test_cli_bad_spec_exits_two(tmp_path):
     assert main(["classify", "not-a-system", "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("gid,reason", [
+    ("same-measure(1/2,1/3)", "mu_1 sums to 5/6 != 1"),
+    ("same-measure(1/2,-1/2,1)", "mu_1 has a nonpositive weight"),
+    ("same-measure(1)", "alphabet rule produced m_1=1 < 2"),
+    ("binary-alpha(-1)", "alpha must be positive, not -1"),
+], ids=["weights-sum", "negative-weight", "one-symbol", "negative-alpha"])
+def test_cli_bad_gallery_parameters_exit_two(tmp_path, capsys, gid, reason):
+    assert main(["classify", gid, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"bad spec: {reason}\n"
+    assert not list(tmp_path.iterdir())
+
+
 def _product_config(kind, m, weights):
     return {"kind": kind,
             "alphabet": {"family": "constant", "params": {"m": m}},

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from odolab import gallery
+from odolab import gallery, space
 from odolab.errors import CarryOverflow, UnresolvedTail
 from odolab.maps import (InducedBijection, _carry_chain_measure, boundedness,
                          forward_image_measure, kakutani_check, norm_probe,
@@ -216,7 +216,7 @@ def test_carry_chain_matches_enumeration(data):
     assert preimage_measure(spec, E, k) == brute_pull
 
 
-def test_float_ramp_coordinate_uses_per_symbol_weights():
+def test_float_ramp_coordinate_uses_per_symbol_weights(monkeypatch):
     # a ramp past the exact cap runs in floats, where weight(j) differs in
     # the last bits from the iterated vector weights()
     m = 1100
@@ -226,6 +226,14 @@ def test_float_ramp_coordinate_uses_per_symbol_weights():
                                            "delta": "inv-square"}))
     per_symbol = [spec.measure.weight(1, m, j) for j in range(m)]
     assert per_symbol != list(spec.measure.weights(1, m))
+    # the spec keeps both views, also once the memo has started over: one
+    # coordinate holds 1 + 2m entries, so a second one overflows 3m
+    monkeypatch.setattr(space, "VECTOR_CAP", 3 * m)
+    for i in (1, 2, 1):
+        assert spec.mu(i) == spec.measure.weights(i, m)
+        assert ([spec.mu_weight(i, j) for j in range(m)]
+                == [spec.measure.weight(i, m, j) for j in range(m)])
+        assert list(spec._coords) == [i]
     assert build_truncation(spec, 1).all_measures() == per_symbol
     want = [set(range(0, m, 3))]
     for k in (1, 550, 1099):

@@ -4,9 +4,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from odolab import gallery
+from odolab import criteria, gallery, space
+from odolab.cli import ODOMETER_CRITERIA
 from odolab.errors import CapExceeded
-from odolab.space import (COORD_MEMO_CAP, DepthSet, SimpleFunction,
+from odolab.scalars import integer_view
+from odolab.space import (AlphabetRule, DepthSet, RampMeasure, SimpleFunction,
                           SystemSpec, atomless_monitor, build_truncation,
                           set_measure)
 
@@ -82,7 +84,7 @@ def test_cached_accessors_match_the_measure_family():
                 else:
                     assert ints is None
         assert spec == gallery.get_spec(gid)
-        assert "_coords" not in repr(spec)
+        assert "_coords" not in repr(spec) and "_held" not in repr(spec)
 
 
 @pytest.mark.parametrize("gid", ["ornstein", "hc-not-mixing", "fhc-binary",
@@ -106,8 +108,7 @@ def test_scalar_accessors_match_the_measure_family(gid):
             assert type(got) is type(want) and got == want, (gid, i)
 
 
-def test_scalar_accessors_read_the_memoised_vector(monkeypatch):
-    spec = gallery.get_spec("fhc-not-mixing")
+def count_weight_builds(monkeypatch, spec) -> list:
     calls = []
     weights = type(spec.measure).weights
 
@@ -116,6 +117,12 @@ def test_scalar_accessors_read_the_memoised_vector(monkeypatch):
         return weights(self, i, m)
 
     monkeypatch.setattr(type(spec.measure), "weights", counted)
+    return calls
+
+
+def test_scalar_accessors_read_the_memoised_vector(monkeypatch):
+    spec = gallery.get_spec("fhc-not-mixing")
+    calls = count_weight_builds(monkeypatch, spec)
     for _ in range(3):
         for i in range(1, 10):
             spec.eta(i), spec.delta(i), spec.interval_measure(i, 0, 0)
@@ -123,21 +130,156 @@ def test_scalar_accessors_read_the_memoised_vector(monkeypatch):
     assert sorted(calls) == list(range(1, 10))
 
 
-def test_coordinate_memo_is_bounded():
+def held_entries(spec) -> int:
+    """What the memo should be charged: 1 per coordinate plus m_i for each
+    stored vector, a row that is the vector itself counted once."""
+    total = 0
+    for c in spec._coords.values():
+        views = [c.weights, c.ints, None if c.row is c.weights else c.row]
+        total += 1 + c.m * sum(v not in (None, space._UNSET) for v in views)
+    return total
+
+
+def test_coordinate_memo_is_bounded(monkeypatch):
+    # each binary coordinate holds 1 + 2 (vector) + 2 (integer view) entries
+    monkeypatch.setattr(space, "VECTOR_CAP", 64)
     spec = gallery.get_spec("fhc-not-mixing")
-    for i in range(1, 3 * COORD_MEMO_CAP):
+    sizes = []
+    for i in range(1, 60):
         assert spec.mu(i) == spec.measure.weights(i, 2)
         assert spec.mu_weight(i, 1) == spec.measure.weights(i, 2)[1]
-        assert len(spec._coords) <= COORD_MEMO_CAP
+        assert spec.integer_weights(i) == integer_view(spec.mu(i))
+        assert spec._held == held_entries(spec) <= 64
+        sizes.append(len(spec._coords))
+    # 12 coordinates fill 60 of the 64 entries; the 13th's integer view
+    # starts the memo over unstored, and the check's mu(13) refills it
+    assert sizes[:14] == list(range(1, 13)) + [1, 2] and max(sizes) == 13
 
 
-def test_ramp_memoises_pieces_but_no_vector():
+def test_memo_keeps_its_coordinates_past_a_vector_that_cannot_fit(
+        monkeypatch):
+    # 1 + 4 entries never fit a memo of 4, so mu(1) stores nothing and
+    # clears nothing
+    monkeypatch.setattr(space, "VECTOR_CAP", 4)
+    spec = gallery.get_spec("same-measure(1/4,1/4,1/4,1/4)")
+    spec.m(2)
+    for _ in range(2):
+        assert spec.mu(1) == (Fraction(1, 4),) * 4
+        assert sorted(spec._coords) == [1, 2] and spec._held == 2
+
+
+def test_ramp_memoises_pieces_vector_and_integer_view(monkeypatch):
     spec = gallery.get_spec("trans-hc")
     m = spec.m(9)
     assert spec.measure.pieces(9, m) is spec.measure.pieces(9, m)
     assert spec.measure.pieces(9, m) == spec.measure._build_pieces(9, m)
-    spec.mu(9), spec.integer_weights(9)
-    assert spec._coords[9].weights is None and spec._coords[9].ints is not None
+    calls = count_weight_builds(monkeypatch, spec)
+    for _ in range(3):
+        assert spec.mu(9) is spec._coords[9].weights
+        assert spec.integer_weights(9) is spec._coords[9].ints is not None
+        assert spec.mu_weight(9, 3) == spec.measure.weight(9, m, 3)
+        spec.sup_shift_ratio(9, 5)
+    assert calls == [9]
+    assert spec._coords[9].row is spec._coords[9].weights
+    assert spec._held == held_entries(spec) == 1 + 2 * m
+
+
+def test_translation_memo_keeps_superexponential_alphabets():
+    spec = gallery.get_spec("trans-rigid")
+    ms = [spec.m(i) for i in range(1, 9)]
+    assert ms[-1] == 4 ** 36
+    for i in range(1, 9):
+        spec.mu_weight(i, 0), spec.eta(i), spec.delta(i)
+    assert sorted(spec._coords) == list(range(1, 9))
+    assert spec._held == held_entries(spec) < space.VECTOR_CAP
+    assert [spec.m(i) for i in range(1, 9)] == ms
+
+
+def test_odometer_criteria_build_each_coordinate_once(monkeypatch):
+    spec = gallery.get_spec("fhc-not-mixing")
+    calls = count_weight_builds(monkeypatch, spec)
+    for name in ODOMETER_CRITERIA:
+        criteria.evaluate(spec, name, horizon=300, mode="numeric")
+    assert len(calls) == len(set(calls)) and max(calls) >= 300
+
+
+def outcome(fn):
+    try:
+        return fn()
+    except CapExceeded:
+        return CapExceeded
+
+
+def assert_same(got, want, what):
+    if isinstance(want, tuple):
+        assert len(got) == len(want), what
+        for g, w in zip(got, want):
+            assert_same(g, w, what)
+    else:
+        assert type(got) is type(want) and got == want, (what, got, want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_memoised_accessors_match_the_family_across_restarts(data):
+    import numpy as np
+    cap = data.draw(st.sampled_from([8, 24, 64]), label="cap")
+    choice = data.draw(st.sampled_from(["listed", "float-ramp", "exact-ramp",
+                                        "fhc"]))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(space, "VECTOR_CAP", cap)
+        if choice == "listed":
+            rng = np.random.default_rng(data.draw(st.integers(0, 10 ** 6)))
+            floats = data.draw(st.sets(st.integers(1, 5), max_size=3))
+            spec = listed_spec("odometer",
+                               random_listed_vectors(rng, 5, floats))
+        elif choice == "float-ramp":
+            # ramps past the exact cap run in floats, where weight(j) and
+            # weights() differ in the last bits: in 3 of 10 symbols here
+            mp.setattr(space, "GEOM_EXACT_CAP", 1)
+            spec = SystemSpec(
+                kind="odometer", alphabet=AlphabetRule("constant", {"m": 10}),
+                measure=RampMeasure({"layout": "tail", "n": "half",
+                                     "delta": "inv-ramp"}))
+        elif choice == "exact-ramp":
+            spec = gallery.get_spec("trans-hc")
+        else:
+            spec = gallery.get_spec("fhc-not-mixing")
+        fam = spec.measure
+        top = 5
+        names = ["m", "mu", "mu_weight", "integer_weights", "eta", "delta",
+                 "interval_measure", "subset_measure", "sup_shift_ratio"]
+        ops = st.tuples(st.sampled_from(names), st.integers(1, top),
+                        st.integers(-3, 40), st.integers(-3, 40))
+        # the drawn accesses leave the memo in some state; a sweep over every
+        # accessor and coordinate then reads it
+        sweep = [(name, i, 1, 2) for i in range(1, top + 1) for name in names]
+        for name, i, a, b in data.draw(st.lists(ops, max_size=40)) + sweep:
+            m = spec.alphabet.m(i)
+            got, want = {
+                "m": (lambda: spec.m(i), lambda: m),
+                "mu": (lambda: spec.mu(i), lambda: fam.weights(i, m)),
+                "mu_weight": (
+                    lambda: tuple(spec.mu_weight(i, j) for j in range(-1, m)),
+                    lambda: tuple(fam.weight(i, m, j) for j in range(-1, m))),
+                "integer_weights": (
+                    lambda: spec.integer_weights(i),
+                    lambda: integer_view(fam.weights(i, m))),
+                "eta": (lambda: spec.eta(i), lambda: fam.eta(i, m)),
+                "delta": (lambda: spec.delta(i), lambda: fam.delta(i, m)),
+                "interval_measure": (
+                    lambda: spec.interval_measure(i, a, b),
+                    lambda: fam.interval_measure(i, m, a, b)),
+                "subset_measure": (
+                    lambda: spec.subset_measure(i, (a, b)),
+                    lambda: fam.subset_measure(i, m, (a, b))),
+                "sup_shift_ratio": (
+                    lambda: spec.sup_shift_ratio(i, a),
+                    lambda: fam.sup_shift_ratio(i, m, a)),
+            }[name]
+            # a vector past the (patched) cap raises on both sides
+            assert_same(outcome(got), outcome(want), (choice, name, i, a, b))
+            assert spec._held == held_entries(spec) <= cap
 
 
 def cell_product(spec, tr, cell):
