@@ -13,10 +13,9 @@ from .maps import (AddResult, BoundReport, InducedBijection, boundedness,
 from .functions import (OrbitTrace, apply_composition, lp_distance, lp_norm,
                         lp_norm_pow, orbit_trace, orlicz_indicator_norm,
                         period_of)
-from .criteria import (CriteriaTable, Verdict, alpha_beta_gamma_translation,
-                       alpha_shift, beta_sup, delta, eta, evaluate,
-                       gamma_odometer, gamma_tilde, kappa, omega,
-                       registered_criteria, theta)
+from .criteria import (CriteriaTable, Verdict, alpha_shift, beta_sup,
+                       evaluate, gamma_odometer, gamma_tilde, kappa, omega,
+                       theta)
 from .witness import (WitnessReport, fhc_witness, mixing_witness,
                       rigidity_probe, shift_fhc_witness, src_evaluate,
                       src_search, transitivity_witness, translation_witnesses,

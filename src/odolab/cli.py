@@ -82,17 +82,11 @@ def cmd_classify(args, spec: SystemSpec) -> int:
         if args.kappa:
             params["kappa"] = parse_scalar(args.kappa)
         for name in names:
-            try:
-                v = criteria.evaluate(spec, name, horizon=args.horizon,
-                                      params=dict(params))
-            except (CapExceeded, OdolabError) as exc:
-                v = criteria.Verdict(criterion=name, status="inconclusive",
-                                     mode="numeric-horizon",
-                                     evidence={"reason": str(exc)})
+            v = criteria.evaluate(spec, name, horizon=args.horizon,
+                                  params=params)
             verdicts.append(v)
             expected = (entry.expectations.get(name) if entry else None)
-            if (expected and expected.startswith("satisfied")
-                    and v.status == "violated"):
+            if expected and criteria.contradicts(expected, v.status):
                 doc["contradiction"] = {"criterion": name,
                                         "expected": expected,
                                         "verdict": v.status}
@@ -159,43 +153,54 @@ def cmd_sequences(args, spec: SystemSpec) -> int:
     return 0
 
 
+def _translation(sub: str):
+    """The diagonal-translation construction `sub` with its CLI parameters."""
+    def build(spec, a):
+        params = {"epsilon": a.eps}
+        if sub == "hoeffding":
+            sites = [i for i in range(1, 13) if spec.m(i) <= (1 << 12)]
+            params.update(sites=sites, n=a.iterate or spec.m(1) // 2 or 1)
+        elif sub == "ufhcsum":
+            params = {"block": a.iterate or 8, "epsilon": a.eps}
+        return witness.translation_witnesses(spec, sub, params)
+    return build
+
+
+# witness name -> (spec kinds it drives, its construction on (spec, args))
+WITNESSES = {
+    "transitivity": ((ODOMETER,), lambda spec, a: witness.transitivity_witness(
+        spec, a.eps, **a.sampling)),
+    "mixing": ((ODOMETER,), lambda spec, a: witness.mixing_witness(
+        spec, a.eps, k=a.iterate or 10 ** 4, cell_cap=a.cap)),
+    "fhc": ((ODOMETER,), lambda spec, a: witness.fhc_witness(
+        spec, a.eps, a.kappa_param, f_symbols=(0, 0, 0), seed=a.seed)),
+    "ufhc-count": ((ODOMETER, TRANSLATION), lambda spec, a: witness.ufhc_count(
+        spec, a.eps, a.kappa_param)),
+    "src": ((ODOMETER, TRANSLATION), lambda spec, a: witness.src_search(
+        spec, a.eps, **a.sampling)),
+    "rigidity": ((TRANSLATION,), lambda spec, a: witness.rigidity_probe(spec)),
+    **{f"translation-{sub}": ((TRANSLATION,), _translation(sub))
+       for sub in ("single-site", "hoeffding", "fhcsum", "ufhcsum")},
+    "shift-fhc": ((SHIFT,), lambda spec, a: witness.shift_fhc_witness(
+        spec, kappa_param=0.15)),
+}
+
+
 def cmd_witness(args, spec: SystemSpec) -> int:
-    eps = float(args.epsilon)
-    kappa_param = parse_scalar(args.kappa) if args.kappa else Fraction(1, 5)
+    kinds, build = WITNESSES[args.name]
+    if spec.kind not in kinds:
+        print(f"witness {args.name} drives {' or '.join(kinds)} specs, "
+              f"not {spec.kind}", file=sys.stderr)
+        return 2
     # without --trials each sampling witness keeps its own default
     sampling = {"seed": args.seed, "cell_cap": args.cap}
     if args.trials is not None:
         sampling["trials"] = args.trials
+    run = argparse.Namespace(
+        **vars(args), eps=float(args.epsilon), sampling=sampling,
+        kappa_param=parse_scalar(args.kappa) if args.kappa else Fraction(1, 5))
     try:
-        if args.name == "transitivity":
-            rep = witness.transitivity_witness(spec, eps, **sampling)
-        elif args.name == "mixing":
-            rep = witness.mixing_witness(spec, eps, k=args.iterate
-                                         or 10 ** 4, cell_cap=args.cap)
-        elif args.name == "fhc":
-            rep = witness.fhc_witness(spec, eps, kappa_param,
-                                      f_symbols=(0, 0, 0), seed=args.seed)
-        elif args.name == "ufhc-count":
-            rep = witness.ufhc_count(spec, eps, kappa_param)
-        elif args.name == "src":
-            rep = witness.src_search(spec, eps, **sampling)
-        elif args.name == "rigidity":
-            rep = witness.rigidity_probe(spec)
-        elif args.name.startswith("translation-"):
-            sub = args.name.removeprefix("translation-")
-            params = {"epsilon": eps}
-            if sub == "hoeffding":
-                sites = [i for i in range(1, 13)
-                         if spec.m(i) <= (1 << 12)]
-                params.update(sites=sites, n=args.iterate or spec.m(1) // 2 or 1)
-            elif sub == "ufhcsum":
-                params = {"block": args.iterate or 8, "epsilon": eps}
-            rep = witness.translation_witnesses(spec, sub, params)
-        elif args.name == "shift-fhc":
-            rep = witness.shift_fhc_witness(spec, kappa_param=0.15)
-        else:
-            print(f"unknown witness {args.name!r}", file=sys.stderr)
-            return 2
+        rep = build(spec, run)
     except (HypothesisUnavailable, StrategyInfeasible,
             NotFoundWithinHorizon) as exc:
         print(f"witness unavailable: {exc}")
@@ -277,18 +282,10 @@ def verify_gallery() -> dict:
             item["checks"].append(("coordinates-valid", valid))
             ok &= valid is True
         for criterion, expected in entry.expectations.items():
-            try:
-                v = criteria.evaluate(spec, criterion, horizon=24)
-            except (CapExceeded, OdolabError) as exc:
-                item["checks"].append((criterion, f"inconclusive: {exc}"))
-                continue
-            contradiction = (expected.startswith("satisfied")
-                             and v.status == "violated") or (
-                                 expected == "violated"
-                                 and v.status.startswith("satisfied"))
-            item["checks"].append((criterion, v.status, expected,
-                                   not contradiction))
-            ok &= not contradiction
+            v = criteria.evaluate(spec, criterion, horizon=24)
+            agrees = not criteria.contradicts(expected, v.status)
+            item["checks"].append((criterion, v.status, expected, agrees))
+            ok &= agrees
         results[gid] = item
     return {"ok": ok, "entries": results}
 
@@ -298,10 +295,8 @@ def cmd_verify_gallery(args) -> int:
     out = Path(args.out) / "verify-gallery.json"
     write_json(out, doc)
     for gid, item in doc["entries"].items():
-        # a check passes when it ends in True or was inconclusive
         status = "ok" if item["round_trip"] and all(
-            c[-1] is True or str(c[-1]).startswith("inconclusive")
-            for c in item["checks"]) else "FAIL"
+            c[-1] is True for c in item["checks"]) else "FAIL"
         print(f"{gid:24s} {status}")
     print(f"report: {out}")
     return 0 if doc["ok"] else 1
@@ -345,7 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--index-horizon", type=int, default=8)
     p = command("witness", cmd_witness, "run a named witness construction",
                 "epsilon", "kappa")
-    p.add_argument("--name", required=True)
+    p.add_argument("--name", required=True, choices=list(WITNESSES),
+                   metavar="NAME")
     p.add_argument("--seed", type=int, default=witness.DEFAULT_SEED)
     p.add_argument("--trials", type=int, default=None)
     p.add_argument("--cap", type=int, default=witness.EXHAUSTIVE_CELL_CAP)

@@ -40,14 +40,6 @@ GAMMA_BRUTE_CAP = 16
 # elementary sequences
 # ---------------------------------------------------------------------------
 
-def eta(spec: SystemSpec, i: int) -> Scalar:
-    return spec.eta(i)
-
-
-def delta(spec: SystemSpec, i: int) -> Scalar:
-    return spec.delta(i)
-
-
 def theta(spec: SystemSpec, i: int, shift: Optional[int] = None) -> Scalar:
     """Largest drop mu(D) - mu(D + k) over subsets, addition mod m_i.
 
@@ -206,23 +198,6 @@ def gamma_translation(spec: SystemSpec, n: int, index_horizon: int) -> Scalar:
         if best is None or val > best:
             best = val
     return best
-
-
-def alpha_beta_gamma_translation(spec: SystemSpec, index_range: Iterable[int],
-                                 shift_range: Iterable[int]) -> "CriteriaTable":
-    """Tabulate alpha_{i,n}, beta_i and the horizon-limited gamma_n."""
-    table = CriteriaTable(spec=spec)
-    idx = list(index_range)
-    shifts = list(shift_range)
-    for i in idx:
-        for n in shifts:
-            table.put("alpha", (i, n), alpha_shift(spec, i, n), "cycle-dp")
-            table.put("theta", (i, n), theta(spec, i, shift=n), "closed-form")
-        table.put("beta", i, beta_sup(spec, i), "cycle-dp")
-    for n in shifts:
-        table.put("gamma_n", n, gamma_translation(spec, n, max(idx)),
-                  "cycle-dp", note="horizon-limited")
-    return table
 
 
 # ---------------------------------------------------------------------------
@@ -408,8 +383,8 @@ def odometer_table(spec: SystemSpec, indices: Iterable[int],
     """eta, delta, theta, kappa, gamma (and omega at a given kappa) per index."""
     table = CriteriaTable(spec=spec)
     for i in indices:
-        table.put("eta", i, eta(spec, i), "closed-form")
-        table.put("delta", i, delta(spec, i), "closed-form")
+        table.put("eta", i, spec.eta(i), "closed-form")
+        table.put("delta", i, spec.delta(i), "closed-form")
         table.put("theta", i, theta(spec, i), "closed-form")
         table.put("kappa", i, kappa(spec, i), "path-dp")
         m = spec.m(i)
@@ -431,15 +406,16 @@ VIOLATED = "violated"
 INCONCLUSIVE = "inconclusive"
 
 EVAL_NEAR_ONE = 0.02     # "looks like 1 at the horizon" slack for numeric mode
+DIVERGENCE_FLOOR = 10.0  # an averaged drop this large reads as divergent
 
 
 @dataclass
 class Verdict:
     criterion: str
     status: str
-    mode: str                   # "closed-form" | "numeric-horizon"
     evidence: dict
     params: dict = field(default_factory=dict)
+    mode: str = "numeric-horizon"     # or "closed-form"
 
     def to_document(self) -> dict:
         def conv(x):
@@ -457,8 +433,15 @@ class Verdict:
                 "evidence": conv(self.evidence)}
 
 
-def registered_criteria() -> list:
-    return sorted(_RULES)
+def contradicts(expected: str, status: str) -> bool:
+    """Whether a computed status contradicts a registered expectation.
+
+    "violated" contradicts a satisfied expectation and a satisfied status
+    contradicts "violated"; "inconclusive" contradicts nothing.
+    """
+    if expected.startswith("satisfied"):
+        return status == VIOLATED
+    return expected == VIOLATED and status.startswith("satisfied")
 
 
 def evaluate(spec: SystemSpec, criterion: str, horizon: int = 50,
@@ -467,7 +450,9 @@ def evaluate(spec: SystemSpec, criterion: str, horizon: int = 50,
 
     mode "auto" consults the gallery's closed-form registry first and falls
     back to the numeric horizon rule; "numeric" forces the horizon rule.
-    Numeric mode never returns a bare "satisfied" for a limit statement.
+    Numeric mode never returns a bare "satisfied" for a limit statement.  A
+    rule that stops on a package error (an infeasible search, a budget's
+    CapExceeded) is "inconclusive", with the error as its reason.
     """
     if criterion not in _RULES:
         raise UnknownTheorem(f"no rule registered for {criterion!r}")
@@ -477,7 +462,15 @@ def evaluate(spec: SystemSpec, criterion: str, horizon: int = 50,
         cf = closed_form_verdict(spec, criterion, params)
         if cf is not None:
             return cf
-    return _RULES[criterion](spec, horizon, params)
+    try:
+        return _RULES[criterion](spec, horizon, params)
+    except OdolabError as exc:
+        return Verdict(criterion, INCONCLUSIVE, {"reason": str(exc)}, params)
+
+
+def _numeric(name: str, ok: bool, evidence: dict, params: dict) -> Verdict:
+    """Satisfied up to the horizon when ok, else inconclusive."""
+    return Verdict(name, SATISFIED if ok else INCONCLUSIVE, evidence, params)
 
 
 def _limsup_near_one(name, seq_fn):
@@ -485,57 +478,38 @@ def _limsup_near_one(name, seq_fn):
         vals = [seq_fn(spec, i, params) for i in range(1, horizon + 1)]
         sup = max(float(v) for v in vals)
         argmax = 1 + max(range(len(vals)), key=lambda t: float(vals[t]))
-        ok = sup >= 1 - params.get("slack", EVAL_NEAR_ONE)
-        status = SATISFIED if ok else INCONCLUSIVE
-        return Verdict(criterion=name, status=status, mode="numeric-horizon",
-                       evidence={"sup": sup, "argmax_index": argmax,
-                                 "tail": [float(v) for v in vals[-5:]]},
-                       params=params)
+        return _numeric(name, sup >= 1 - params.get("slack", EVAL_NEAR_ONE),
+                        {"sup": sup, "argmax_index": argmax,
+                         "tail": [float(v) for v in vals[-5:]]}, params)
     return rule
 
 
 def _lim_near_one(name, seq_fn):
     def rule(spec: SystemSpec, horizon: int, params: dict) -> Verdict:
         vals = [float(seq_fn(spec, i, params)) for i in range(1, horizon + 1)]
-        slack = params.get("slack", EVAL_NEAR_ONE)
         tail = vals[horizon // 2:]
-        ok = min(tail) >= 1 - slack
-        status = SATISFIED if ok else INCONCLUSIVE
-        return Verdict(criterion=name, status=status, mode="numeric-horizon",
-                       evidence={"tail_min": min(tail), "tail": vals[-5:]},
-                       params=params)
+        ok = min(tail) >= 1 - params.get("slack", EVAL_NEAR_ONE)
+        return _numeric(name, ok, {"tail_min": min(tail), "tail": vals[-5:]},
+                        params)
     return rule
 
 
 def _rule_hc_limsup_drop(spec, horizon, params):
     drops = [spec.eta(i) - spec.delta(i) for i in range(1, horizon + 1)]
-    tail = drops[horizon // 2:]
-    margin = max(tail)
-    status = SATISFIED if float(margin) > 0 else INCONCLUSIVE
-    return Verdict(criterion="hc-limsup-drop", status=status,
-                   mode="numeric-horizon",
-                   evidence={"margin": float(margin),
-                             "margin_exact": margin,
-                             "first_indices": [float(d) for d in drops[:4]]},
-                   params=params)
+    margin = max(drops[horizon // 2:])
+    return _numeric("hc-limsup-drop", float(margin) > 0,
+                    {"margin": float(margin), "margin_exact": margin,
+                     "first_indices": [float(d) for d in drops[:4]]}, params)
 
 
 def _rule_hc_drop_hoeffding(spec, horizon, params):
     from .witness import find_transitivity_params
-    eps = params.get("epsilon", 0.1)
-    try:
-        plan = find_transitivity_params(spec, eps, horizon=horizon,
-                                        beta=params.get("beta"))
-        status = SATISFIED
-        evidence = {"offset": plan.offset, "count": plan.count,
-                    "indices": list(plan.indices[:8]),
-                    "gap_sum": float(plan.gap_sum),
-                    "hoeffding_bound": plan.hoeffding_bound}
-    except OdolabError as exc:    # StrategyInfeasible and friends
-        status = INCONCLUSIVE
-        evidence = {"reason": str(exc)}
-    return Verdict(criterion="hc-drop-hoeffding", status=status,
-                   mode="numeric-horizon", evidence=evidence, params=params)
+    plan = find_transitivity_params(spec, 0.1, horizon=horizon)
+    return _numeric("hc-drop-hoeffding", True,
+                    {"offset": plan.offset, "count": plan.count,
+                     "indices": list(plan.indices[:8]),
+                     "gap_sum": float(plan.gap_sum),
+                     "hoeffding_bound": plan.hoeffding_bound}, params)
 
 
 def _rule_power_bounded(spec, horizon, params):
@@ -547,23 +521,19 @@ def _rule_power_bounded(spec, horizon, params):
         prod *= r
         partial.append(prod)
     last_rel = ratios[-1] - 1.0
-    tol = params.get("increment_tol", 1e-6)
     decreasing = all(ratios[t + 1] <= ratios[t] + 1e-15
                      for t in range(horizon // 2, horizon - 1))
-    ok = last_rel < tol and decreasing
-    return Verdict(criterion="power-bounded",
-                   status=SATISFIED if ok else INCONCLUSIVE,
-                   mode="numeric-horizon",
-                   evidence={"partial_product": partial[-1],
-                             "last_factor_minus_one": last_rel,
-                             "checkpoints": partial[:: max(1, horizon // 8)],
-                             "note": "convergent product is not-hypercyclic evidence"},
-                   params=params)
+    return _numeric("power-bounded", last_rel < 1e-6 and decreasing,
+                    {"partial_product": partial[-1],
+                     "last_factor_minus_one": last_rel,
+                     "checkpoints": partial[:: max(1, horizon // 8)],
+                     "note": "convergent product is not-hypercyclic evidence"},
+                    params)
 
 
 def _rule_ufhc_odometer(spec, horizon, params):
     kappa_param = Fraction(params.get("kappa", Fraction(1, 5)))
-    ladder = params.get("deltas", [0.25, 0.1, 0.05])
+    ladder = (0.25, 0.1, 0.05)
     found = {}
     for dl in ladder:
         for i in range(horizon, 1, -1):
@@ -576,11 +546,8 @@ def _rule_ufhc_odometer(spec, horizon, params):
             if float(tilted) < dl:
                 found[dl] = {"i": i, "j": j, "interval_mass": float(tilted)}
                 break
-    ok = len(found) == len(ladder)
-    return Verdict(criterion="ufhc-odometer",
-                   status=SATISFIED if ok else INCONCLUSIVE,
-                   mode="numeric-horizon",
-                   evidence={"found": found}, params=params)
+    return _numeric("ufhc-odometer", len(found) == len(ladder),
+                    {"found": found}, params)
 
 
 def _usable_sites(spec, idx_h, size_cap=1 << 13):
@@ -599,29 +566,22 @@ def _usable_sites(spec, idx_h, size_cap=1 << 13):
 def _translation_gamma(name: str):
     """The gamma_n rule; hc and mixing read the same values, so one body."""
     def rule(spec, horizon, params):
-        idx_h = params.get("index_horizon", min(horizon, 12))
-        sites = _usable_sites(spec, idx_h)
+        sites = _usable_sites(spec, min(horizon, 12))
         float_w = {i: [float(x) for x in spec.mu(i)] for i in sites}
         vals = [max(_alpha(float_w[i], n)[0] for i in sites)
                 for n in range(1, horizon + 1)]
         sup = max(vals)
-        ok = sup >= 1 - params.get("slack", EVAL_NEAR_ONE)
-        return Verdict(criterion=name,
-                       status=SATISFIED if ok else INCONCLUSIVE,
-                       mode="numeric-horizon",
-                       evidence={"sup": sup, "values_tail": vals[-5:],
-                                 "note": "gamma_n is horizon-limited in i"},
-                       params=params)
+        return _numeric(name, sup >= 1 - params.get("slack", EVAL_NEAR_ONE),
+                        {"sup": sup, "values_tail": vals[-5:],
+                         "note": "gamma_n is horizon-limited in i"}, params)
     return rule
 
 
 def _rule_hc_translation_hoeffding(spec, horizon, params):
-    idx_h = params.get("index_horizon", min(horizon, 40))
-    shifts = params.get("shifts") or [1 << l for l in range(1, 8)]
-    sites = _usable_sites(spec, idx_h)
+    sites = _usable_sites(spec, min(horizon, 40))
     float_w = {i: [float(x) for x in spec.mu(i)] for i in sites}
     vals = {}
-    for n in shifts:
+    for n in (1 << l for l in range(1, 8)):
         drops = []
         for i in sites:
             w = float_w[i]
@@ -630,11 +590,8 @@ def _rule_hc_translation_hoeffding(spec, horizon, params):
                                    for j in range(m)))
         vals[n] = float(_best_prefix_average(sorted(drops, reverse=True))[0])
     sup = max(vals.values())
-    ok = sup >= params.get("divergence_floor", 10.0)
-    return Verdict(criterion="hc-translation-hoeffding",
-                   status=SATISFIED if ok else INCONCLUSIVE,
-                   mode="numeric-horizon",
-                   evidence={"sup": sup, "per_shift": vals}, params=params)
+    return _numeric("hc-translation-hoeffding", sup >= DIVERGENCE_FLOOR,
+                    {"sup": sup, "per_shift": vals}, params)
 
 
 def _rule_hc_translation_coprime(spec, horizon, params):
@@ -642,9 +599,8 @@ def _rule_hc_translation_coprime(spec, horizon, params):
     coprime = all(math.gcd(ms[a], ms[b]) == 1
                   for a in range(len(ms)) for b in range(a + 1, len(ms)))
     if not coprime:
-        return Verdict(criterion="hc-translation-coprime", status=INCONCLUSIVE,
-                       mode="numeric-horizon",
-                       evidence={"pairwise_coprime": False}, params=params)
+        return _numeric("hc-translation-coprime", False,
+                        {"pairwise_coprime": False}, params)
     drops = []
     for i in range(1, horizon + 1):
         if ms[i - 1] > 4096:
@@ -654,21 +610,15 @@ def _rule_hc_translation_coprime(spec, horizon, params):
         except CapExceeded:
             break
     best = float(_best_prefix_average(sorted(drops, reverse=True))[0])
-    ok = best >= params.get("divergence_floor", 10.0)
-    return Verdict(criterion="hc-translation-coprime",
-                   status=SATISFIED if ok else INCONCLUSIVE,
-                   mode="numeric-horizon",
-                   evidence={"pairwise_coprime": True, "sup": best},
-                   params=params)
+    return _numeric("hc-translation-coprime", best >= DIVERGENCE_FLOOR,
+                    {"pairwise_coprime": True, "sup": best}, params)
 
 
 def _rule_shift_salas(spec, horizon, params):
     if spec.kind != SHIFT:
-        return Verdict(criterion="shift-salas", status=INCONCLUSIVE,
-                       mode="numeric-horizon",
-                       evidence={"reason": "not a weighted shift"}, params=params)
-    bound = params.get("site_bound", 3)
-    sites = range(-bound, bound + 1) if spec.index_set == "Z" else range(bound + 1)
+        return _numeric("shift-salas", False,
+                        {"reason": "not a weighted shift"}, params)
+    sites = range(-3, 4) if spec.index_set == "Z" else range(4)
     worst_min = 0.0
     details = {}
     ok = True
@@ -676,14 +626,12 @@ def _rule_shift_salas(spec, horizon, params):
         for j in sites:
             prods = [float(x) for x in salas_products(spec, i, j, horizon)]
             details[f"({i},{j})"] = prods[-1]
-            if min(prods) > params.get("tol", 1e-6):
+            if min(prods) > 1e-6:
                 ok = False
             worst_min = max(worst_min, min(prods))
-    return Verdict(criterion="shift-salas",
-                   status=SATISFIED if ok else INCONCLUSIVE,
-                   mode="numeric-horizon",
-                   evidence={"worst_min_product": worst_min,
-                             "final_products": details}, params=params)
+    return _numeric("shift-salas", ok,
+                    {"worst_min_product": worst_min,
+                     "final_products": details}, params)
 
 
 def _seq_min_omega_gamma(spec, i, params):
@@ -721,14 +669,11 @@ def _fhc_from_bounded(name: str, inner: str):
     """Bounded alphabets plus the inner rule's hypothesis give the fhc family."""
     def rule(spec, horizon, params):
         if spec.alphabet.bounded_lcm() is None:
-            return Verdict(criterion=name, status=INCONCLUSIVE,
-                           mode="numeric-horizon",
-                           evidence={"reason": "alphabet rule is not bounded"},
-                           params=params)
+            return _numeric(name, False,
+                            {"reason": "alphabet rule is not bounded"}, params)
         verdict = _RULES[inner](spec, horizon, params)
-        return Verdict(criterion=name, status=verdict.status,
-                       mode="numeric-horizon", evidence=verdict.evidence,
-                       params=params)
+        return _numeric(name, verdict.status == SATISFIED, verdict.evidence,
+                        params)
     return rule
 
 

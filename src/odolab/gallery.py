@@ -13,18 +13,15 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable, Optional
 
+from .criteria import SATISFIED_CF, VIOLATED, Verdict
 from .errors import BracketFailure
 from .scalars import format_scalar, parse_scalar
 from .space import (AlphabetRule, BinaryHalfPlusMeasure, BinaryRatioMeasure,
                     BlocksOfThreeMeasure, GeometricSolvedMeasure,
                     OrnsteinMeasure, RampMeasure, SameMeasure, ShiftWeights,
                     SplitGeometricMeasure, SystemSpec, UniformMeasure)
-
-SATISFIED_CF = "satisfied-closed-form"
-VIOLATED = "violated"
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +419,6 @@ def entry_for(spec: SystemSpec) -> Optional[GalleryEntry]:
 
 def closed_form_verdict(spec: SystemSpec, criterion: str, params: dict):
     """Registered true verdict for (gallery spec, criterion), if any."""
-    from .criteria import Verdict
     entry = entry_for(spec)
     if entry is None or criterion not in entry.closed_forms:
         return None

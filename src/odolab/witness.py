@@ -586,15 +586,17 @@ def fhc_witness(spec: SystemSpec, epsilon: float, kappa_param,
     over the shifted optimal set, and verifies the two pullback families by
     k-uniform certified bounds plus exact transports (all k within budget,
     else a seeded spot sample).  When f_symbols name a basic cylinder F, the
-    function-level inequalities for f = 1_F and g = 1_B f are verified
-    exactly at p = 1.
+    depth scan starts at len(f_symbols) + 1, and the function-level
+    inequalities for f = 1_F and g = 1_B f are verified exactly at p = 1.
     """
     if spec.kind != ODOMETER:
         raise ValueError("this witness drives the odometer")
     kappa_param = Fraction(kappa_param)
     delta_target = epsilon / 2
+    # a depth N past F's makes n = j M_N a multiple of F's period
+    first = 2 if f_symbols is None else max(2, len(f_symbols) + 1)
     found = None
-    for i in range(2, horizon + 1):
+    for i in range(first, horizon + 1):
         om = omega(spec, i - 1, kappa_param)
         gval, D, j = gamma_witness(spec, i)
         if max(float(om), 1 - float(gval)) < delta_target:
@@ -615,18 +617,11 @@ def fhc_witness(spec: SystemSpec, epsilon: float, kappa_param,
                                    "n": n_iter, "d": d_period, "seed": seed})
 
     if f_symbols is not None:
-        # a basic depth-L cylinder returns after exactly M_{L+1} steps
+        # a basic depth-L cylinder returns after exactly M_{L+1} steps, which
+        # divides n = j M_N since N > L
         f_fixed = {i: {s} for i, s in enumerate(f_symbols, start=1)}
-        f_depth = max(N, len(f_symbols))
-        f_set = DepthSet.cylinder(spec, f_depth, f_fixed)
-        per = spec.cell_count(len(f_symbols))
-        if n_iter % per != 0:
-            kappa_param = kappa_param / 2
-            n_iter = ((n_iter // per) + 1) * per
-            report.params.update(kappa=kappa_param, n=n_iter,
-                                 period_adjustment=True, f_period=per)
-        else:
-            report.params.update(period_adjustment=False, f_period=per)
+        f_set = DepthSet.cylinder(spec, N, f_fixed)
+        report.params.update(f_period=spec.cell_count(len(f_symbols)))
 
     shifted = frozenset((x + j) % m_n for x in D)
     B = DepthSet.cylinder(spec, N, {N: shifted})
@@ -680,10 +675,8 @@ def fhc_witness(spec: SystemSpec, epsilon: float, kappa_param,
     if f_symbols is not None:
         # C^(n+k) g is the indicator of o^-k(B' and F) because o^-n fixes F
         # (n is a multiple of its period) and sends B to B'
-        bf = DepthSet.cylinder(
-            spec, f_depth, {**f_fixed, N: f_fixed.get(N, shifted) & shifted})
-        bprime_f = DepthSet.cylinder(
-            spec, f_depth, {**f_fixed, N: f_fixed.get(N, D) & D})
+        bf = DepthSet.cylinder(spec, N, {**f_fixed, N: shifted})
+        bprime_f = DepthSet.cylinder(spec, N, {**f_fixed, N: D})
         worst_g_small = max(odometer_pullback_measure(spec, bf, k) for k in ks)
         worst_g_large = max(odometer_pullback_measure(spec, f_set, k)
                             - odometer_pullback_measure(spec, bprime_f, k)

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from odolab import gallery
-from odolab.criteria import (alpha_shift, alpha_beta_gamma_translation,
-                             beta_sup, delta, eta, evaluate, gamma_odometer,
-                             gamma_tilde, gamma_tilde_witness, gamma_witness,
-                             kappa, odometer_table, omega, salas_products,
-                             theta, theta_witness)
-from odolab.errors import UnknownTheorem
+from odolab import criteria
+from odolab.criteria import (alpha_shift, beta_sup, contradicts, evaluate,
+                             gamma_odometer, gamma_tilde, gamma_tilde_witness,
+                             gamma_witness, kappa, odometer_table, omega,
+                             salas_products, theta, theta_witness)
+from odolab.errors import CapExceeded, UnknownTheorem
 from odolab.maps import boundedness
 
 from conftest import listed_spec
@@ -184,15 +184,6 @@ def test_gamma_tilde_monotone_in_horizon():
     assert v2 >= v1
 
 
-def test_alpha_beta_gamma_table():
-    spec = gallery.get_spec("trans-hc")
-    table = alpha_beta_gamma_translation(spec, range(1, 4), range(1, 5))
-    assert table.get("alpha", (2, 1)) == alpha_shift(spec, 2, 1)
-    assert table.get("beta", 2) == beta_sup(spec, 2)
-    rows = table.to_tsv_rows()
-    assert rows[0][0] == "index"
-
-
 # ---------------------------------------------------------------------------
 # randomized oracle equivalence (small; the big run is in acceptance)
 # ---------------------------------------------------------------------------
@@ -221,7 +212,7 @@ def test_optimizers_match_brute_force(data):
 def test_odometer_sequence_inequalities(gid):
     spec = gallery.get_spec(gid)
     for i in range(1, 25):
-        e, d = eta(spec, i), delta(spec, i)
+        e, d = spec.eta(i), spec.delta(i)
         assert kappa(spec, i) >= e
         assert gamma_odometer(spec, i) >= e
         assert theta(spec, i) >= e - d
@@ -259,6 +250,39 @@ def test_gamma_n_monotone_in_index_horizon():
 def test_evaluate_unknown():
     with pytest.raises(UnknownTheorem):
         evaluate(gallery.get_spec("ornstein"), "no-such-criterion")
+
+
+def test_evaluate_turns_a_package_error_into_inconclusive(monkeypatch):
+    seen = {}
+
+    def over_budget(spec, horizon, params):
+        seen.update(params)
+        raise CapExceeded("budget of 10 steps passed")
+
+    monkeypatch.setitem(criteria._RULES, "mixing-eta", over_budget)
+    spec = gallery.get_spec("fhc-binary")
+    v = evaluate(spec, "mixing-eta", horizon=8, params={"slack": 0.1},
+                 mode="numeric")
+    assert (v.criterion, v.status, v.mode) == (
+        "mixing-eta", "inconclusive", "numeric-horizon")
+    assert v.evidence == {"reason": "budget of 10 steps passed"}
+    assert v.params == seen == {"slack": 0.1}
+    with pytest.raises(UnknownTheorem):
+        evaluate(spec, "no-such-criterion", horizon=8)
+
+
+@pytest.mark.parametrize("expected,status,flagged", [
+    ("satisfied-closed-form", "violated", True),
+    ("satisfied-up-to-horizon", "violated", True),
+    ("violated", "satisfied-closed-form", True),
+    ("violated", "satisfied-up-to-horizon", True),
+    ("satisfied-closed-form", "satisfied-up-to-horizon", False),
+    ("violated", "violated", False),
+    ("satisfied-closed-form", "inconclusive", False),
+    ("violated", "inconclusive", False),
+])
+def test_contradicts_both_directions(expected, status, flagged):
+    assert contradicts(expected, status) is flagged
 
 
 def test_hoeffding_rule_lets_foreign_errors_through(monkeypatch):

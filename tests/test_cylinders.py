@@ -169,14 +169,12 @@ def brute_pullback(spec, cells, depth, k):
 
 
 def test_fhc_function_sets_when_the_depth_is_within_f():
-    # N = 2 <= len(f_symbols) = 3: B and F = [0, 0, 0] meet nowhere, since
-    # B asks for the shifted set {1} at coordinate 2 and F for the symbol 0
+    # depth 2 already meets the hypothesis, but it lies within F = [0, 0, 0];
+    # the scan goes past F, so n is a multiple of F's period and o^-n fixes F
     spec = SystemSpec.from_config(HEAVY_ZERO)
     rep = fhc_witness(spec, 0.1, Fraction(1, 5), f_symbols=(0, 0, 0))
-    assert rep.params["N"] == 2
-    assert rep.objects["shifted"] == frozenset({1})
-    assert rep.check("function-small").computed == "0"
-    assert rep.check("function-close").computed == "0"
+    assert rep.params["N"] > 3
+    assert rep.passed
 
 
 def test_fhc_function_values_match_enumeration():

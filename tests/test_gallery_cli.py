@@ -202,6 +202,38 @@ def test_cli_witness_fhc(tmp_path):
     assert methods["pullback-small-all-k"] == "proof-bound"
 
 
+def test_cli_witness_fhc_past_the_depth_of_f(tmp_path):
+    # the first depth meeting the hypothesis lies within f = [0, 0, 0]
+    cfg = tmp_path / "heavy-zero.json"
+    cfg.write_text(json.dumps({
+        "kind": "odometer",
+        "alphabet": {"family": "constant", "params": {"m": 2}},
+        "measure": {"family": "same",
+                    "params": {"weights": ["99/100", "1/100"]}}}))
+    assert main(["witness", f"@{cfg}", "--name", "fhc",
+                 "--out", str(tmp_path / "out")]) == 0
+
+
+@pytest.mark.parametrize("gid,name", [
+    ("trans-hc", "fhc"),
+    ("trans-hc", "mixing"),
+    ("trans-hc", "shift-fhc"),
+    ("fhc-binary", "rigidity"),
+    ("fhc-binary", "translation-hoeffding"),
+    ("shift-z", "transitivity"),
+    ("shift-z", "src"),
+    ("shift-z", "translation-shift-fhc"),      # not a witness name
+])
+def test_cli_witness_on_a_wrong_kind_exits_two(gid, name, tmp_path, capsys):
+    try:
+        code = main(["witness", gid, "--name", name, "--out", str(tmp_path)])
+    except SystemExit as exc:      # argparse rejects a name it does not list
+        code = exc.code
+    assert code == 2
+    assert capsys.readouterr().err.strip()
+    assert not list(tmp_path.iterdir())
+
+
 def test_cli_witness_unavailable_exits_one(tmp_path):
     code = main(["witness", "same-measure(1/2,1/2)", "--name", "fhc",
                  "--epsilon", "0.05", "--out", str(tmp_path)])

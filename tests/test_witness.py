@@ -148,11 +148,11 @@ def test_fhc_witness_uniform_unavailable(binary_uniform):
 
 def test_fhc_period_adjustment():
     spec = gallery.get_spec("fhc-binary")
-    # a depth-2 cylinder has period 4; n = j M_N is a power of two, so no
-    # adjustment; force one by handing a function whose period is 3 * 2
+    # a depth-2 cylinder has period 4, which divides n = j M_N for N > 2
     rep = fhc_witness(spec, 0.2, Fraction(1, 8), f_symbols=(0, 0),
                       spot_checks=10)
-    assert rep.params["period_adjustment"] is False
+    assert rep.params["f_period"] == 4
+    assert rep.params["n"] % rep.params["f_period"] == 0
     assert rep.passed
 
 
