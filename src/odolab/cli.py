@@ -105,8 +105,13 @@ def cmd_sequences(args, spec: SystemSpec) -> int:
     out_dir = Path(args.out)
     kappa_param = parse_scalar(args.kappa) if args.kappa else Fraction(1, 5)
     if spec.kind == ODOMETER:
-        idx = range(1, args.horizon + 1)
-        table = criteria.odometer_table(spec, idx, kappa_param=kappa_param)
+        table = criteria.CriteriaTable(spec=spec)
+        for i in range(1, args.horizon + 1):
+            try:
+                criteria.odometer_row(table, i, kappa_param)
+            except CapExceeded as exc:
+                print(f"odometer table stopped at i = {i}: {exc}")
+                break
         path = out_dir / f"sequences-{_slug(args.spec)}.tsv"
         write_tsv(path, table.to_tsv_rows())
         print(f"report: {path}")
@@ -118,7 +123,8 @@ def cmd_sequences(args, spec: SystemSpec) -> int:
                 table.put("eta", i, spec.eta(i), "closed-form")
                 table.put("delta", i, spec.delta(i), "closed-form")
                 table.put("beta", i, criteria.beta_sup(spec, i), "cycle-dp")
-            except CapExceeded:
+            except CapExceeded as exc:
+                print(f"beta table stopped at i = {i}: {exc}")
                 break
         shift_table = criteria.CriteriaTable(spec=spec)
         idx_h = min(args.horizon, args.index_horizon)
@@ -130,7 +136,8 @@ def cmd_sequences(args, spec: SystemSpec) -> int:
                 shift_table.put("gamma_tilde", n,
                                 criteria.gamma_tilde(spec, n, idx_h),
                                 "prefix-scan", note="lower-bound")
-            except CapExceeded:
+            except CapExceeded as exc:
+                print(f"gamma table stopped at n = {n}: {exc}")
                 break
         p1 = out_dir / f"sequences-{_slug(args.spec)}.tsv"
         p2 = out_dir / f"sequences-{_slug(args.spec)}-shifts.tsv"

@@ -16,6 +16,12 @@ Each quantity comes with the optimizer the table tags it with:
                 windowed problem ("prefix-scan", value is a lower bound of the
                 unwindowed supremum).
 
+On exact coordinates every optimizer runs on the memoised integer numerators
+over one denominator q and builds one Fraction at the end; the DPs only add
+and compare, and scaling by q > 0 keeps every order and tie.  Float
+coordinates run the same bodies on floats.  Each super-linear scan estimates
+its DP steps before it starts and raises CapExceeded past WORK_BUDGET.
+
 Limit statements are never decided numerically: numeric mode reports
 "satisfied-up-to-horizon" with an evidence trail, and true verdicts come only
 from closed forms registered alongside the gallery.
@@ -30,10 +36,28 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import CapExceeded, OdolabError, UnknownTheorem
-from .scalars import Scalar, format_scalar, integer_view, is_exact
+from .scalars import Scalar, format_scalar
 from .space import SHIFT, SystemSpec
 
 GAMMA_BRUTE_CAP = 16
+WORK_BUDGET = 1 << 20     # DP steps one scan may take; checked before it starts
+
+
+def _weights(spec: SystemSpec, i: int) -> tuple:
+    """(numerators, q) of mu_i when it is exact, else (mu_i, None)."""
+    view = spec.integer_weights(i)
+    return view if view is not None else (spec.mu(i), None)
+
+
+def _scalar(value, q: Optional[int]) -> Scalar:
+    """A value computed on _weights' row, back on the scale of mu_i."""
+    return value if q is None else Fraction(value, q)
+
+
+def _charge(steps: int, scan: str) -> None:
+    if steps > WORK_BUDGET:
+        raise CapExceeded(f"{scan} needs {steps} DP steps, "
+                          f"past the work budget of {WORK_BUDGET}")
 
 
 # ---------------------------------------------------------------------------
@@ -51,9 +75,9 @@ def theta(spec: SystemSpec, i: int, shift: Optional[int] = None) -> Scalar:
 
 def theta_witness(spec: SystemSpec, i: int, shift: Optional[int] = None):
     """(value, optimal set D, shift k) achieving the drop."""
-    m = spec.m(i)
-    w = spec.mu(i)
-    zero = Fraction(0) if is_exact(w[0]) else 0.0
+    w, q = _weights(spec, i)
+    m = len(w)
+    zero = 0 * w[0]
 
     def drop(k: int):
         D = frozenset(j for j in range(m) if w[j] > w[(j + k) % m])
@@ -62,16 +86,14 @@ def theta_witness(spec: SystemSpec, i: int, shift: Optional[int] = None):
 
     if shift is not None:
         k = shift % m
-        if k == 0:
-            return zero, frozenset(), 0
-        val, D = drop(k)
-        return val, D, k
-    best = (zero, frozenset(), 0)
-    for k in range(1, m):
-        val, D = drop(k)
-        if val > best[0]:
-            best = (val, D, k)
-    return best
+        val, D = drop(k)        # shift 0 drops nothing
+        return _scalar(val, q), D, k
+    val, D, k = zero, frozenset(), 0
+    for s in range(1, m):
+        cand, S = drop(s)
+        if cand > val:
+            val, D, k = cand, S, s
+    return _scalar(val, q), D, k
 
 
 # ---------------------------------------------------------------------------
@@ -120,22 +142,23 @@ def disjoint_shift_set_zplus(spec: SystemSpec, i: int, j: int) -> tuple:
     Conflicts x ~ x+j split the alphabet into arithmetic chains; each chain is
     an independent path DP.  Returns (value, D).
     """
-    m = spec.m(i)
-    if not 1 <= j <= m - 1:
+    if not 1 <= j <= spec.m(i) - 1:
         raise ValueError("shift must lie in [1, m_i - 1]")
-    return _solve_chains(_mwis_path, spec.mu(i),
-                         [range(s, m, j) for s in range(j)])
+    w, q = _weights(spec, i)
+    val, D = _zplus(w, j)
+    return _scalar(val, q), D
+
+
+def _zplus(w: Sequence[Scalar], j: int) -> tuple:
+    return _solve_chains(_mwis_path, w, [range(s, len(w), j) for s in range(j)])
 
 
 def kappa(spec: SystemSpec, i: int) -> Scalar:
     """Min over shifts of the best shift-disjoint mass (integer addition)."""
-    m = spec.m(i)
-    best = None
-    for j in range(1, m):
-        val, _ = disjoint_shift_set_zplus(spec, i, j)
-        if best is None or val < best:
-            best = val
-    return best
+    w, q = _weights(spec, i)
+    m = len(w)
+    _charge(m * (m - 1), "kappa")
+    return _scalar(min(_zplus(w, j)[0] for j in range(1, m)), q)
 
 
 def _mwis_cycle(weights: Sequence[Scalar]) -> tuple:
@@ -160,11 +183,13 @@ def alpha_shift(spec: SystemSpec, i: int, n: int) -> Scalar:
 
 def alpha_shift_witness(spec: SystemSpec, i: int, n: int) -> tuple:
     """Max-weight D with (D + n) mod m_i disjoint from D; cycle DP."""
-    return _alpha(spec.mu(i), n)
+    w, q = _weights(spec, i)
+    val, D = _alpha(w, n)
+    return _scalar(val, q), D
 
 
 def _alpha(w: Sequence[Scalar], n: int) -> tuple:
-    """(value, D) of the shift-disjoint optimum mod len(w), exact or float.
+    """(value, D) of the shift-disjoint optimum mod len(w), on any scalars.
 
     The conflict graph is gcd(n, m) cycles of length m / gcd.  n = 0 mod m
     forces D empty.
@@ -172,7 +197,7 @@ def _alpha(w: Sequence[Scalar], n: int) -> tuple:
     m = len(w)
     r = n % m
     if r == 0:
-        return (Fraction(0) if is_exact(w[0]) else 0.0), frozenset()
+        return 0 * w[0], frozenset()
     g = math.gcd(r, m)
     return _solve_chains(_mwis_cycle, w,
                          [[(s + t * r) % m for t in range(m // g)]
@@ -180,14 +205,17 @@ def _alpha(w: Sequence[Scalar], n: int) -> tuple:
 
 
 def beta_sup(spec: SystemSpec, i: int) -> Scalar:
-    """sup over n >= 1 of alpha_{i,n}; only the residue of n matters."""
-    m = spec.m(i)
-    best = None
-    for r in range(1, m):
-        val = alpha_shift(spec, i, r)
-        if best is None or val > best:
-            best = val
-    return best
+    """sup over n >= 1 of alpha_{i,n}; only the residue of n matters.
+
+    Shifts r and m - r have the same conflict edges, so alpha_r = alpha_{m-r}
+    and exact rows scan r <= m/2 only.  Float rows scan every residue: the
+    reversed chain order could change the last bit of a float sum.
+    """
+    w, q = _weights(spec, i)
+    m = len(w)
+    last = m // 2 if q is not None else m - 1
+    _charge(m * last, "beta_sup")
+    return _scalar(max(_alpha(w, r)[0] for r in range(1, last + 1)), q)
 
 
 def gamma_translation(spec: SystemSpec, n: int, index_horizon: int) -> Scalar:
@@ -216,24 +244,23 @@ def gamma_witness(spec: SystemSpec, i: int) -> tuple:
     are rational).  Beyond that, sorted-weight prefix sweeps give a flagged
     lower bound.
     """
-    m = spec.m(i)
-    w = spec.mu(i)
-    if m == 2:
-        j = 1
-        if w[0] >= w[1]:
-            return w[0], frozenset({0}), j
-        return w[1], frozenset({1}), j
-    if m <= GAMMA_BRUTE_CAP:
-        return _gamma_exhaustive(w)
-    return _gamma_sweep(w)
-
-
-def _gamma_exhaustive(w: Sequence[Scalar]) -> tuple:
+    w, q = _weights(spec, i)
     m = len(w)
-    view = integer_view(w)
-    if view is not None:
-        nums, q = view
-        ints = np.array(nums, dtype=np.int64)
+    if m == 2:
+        top = 0 if w[0] >= w[1] else 1
+        val, D, j = w[top], frozenset({top}), 1
+    elif m <= GAMMA_BRUTE_CAP:
+        val, D, j = _gamma_exhaustive(w, q)
+    else:
+        val, D, j = _gamma_sweep(w, q)
+    return _scalar(val, q), D, j
+
+
+def _gamma_exhaustive(w: Sequence[Scalar], q: Optional[int]) -> tuple:
+    """(value, D, j) on _weights' row, over every bitmask and shift."""
+    m = len(w)
+    if q is not None:
+        ints = np.array(w, dtype=np.int64)
         one = q
     else:
         ints = np.array([float(x) for x in w], dtype=np.float64)
@@ -252,15 +279,18 @@ def _gamma_exhaustive(w: Sequence[Scalar]) -> tuple:
         if best_val is None or v > best_val:
             best_val, best_mask, best_j = v, t, j
     D = frozenset(b for b in range(m) if best_mask >> b & 1)
-    if view is not None:
-        return Fraction(int(best_val), q), D, best_j
-    return float(best_val), D, best_j
+    return best_val.item(), D, best_j
 
 
-def _gamma_sweep(w: Sequence[Scalar]) -> tuple:
-    """Prefix sweeps over weight-sorted orders; a lower bound past the cap."""
+def _gamma_sweep(w: Sequence[Scalar], q: Optional[int]) -> tuple:
+    """Prefix sweeps over weight-sorted orders; a lower bound past the cap.
+
+    The row is _weights' row, whose total mass is q (1 on floats).
+    """
     m = len(w)
-    zero = Fraction(0) if is_exact(w[0]) else 0.0
+    _charge(2 * m * (m - 1), "gamma sweep")
+    one = 1 if q is None else q
+    zero = 0 * w[0]
     best = (zero, frozenset(), 1)
     for j in range(1, m):
         orders = [sorted(range(m), key=lambda x: (w[x] - w[(x + j) % m],), reverse=True),
@@ -273,7 +303,7 @@ def _gamma_sweep(w: Sequence[Scalar]) -> tuple:
                 a = a + w[x]
                 b = b + w[(x + j) % m]
                 members.append(x)
-                val = min(a, 1 - b)
+                val = min(a, one - b)
                 if val > best[0]:
                     best = (val, frozenset(members), j)
     return best
@@ -383,17 +413,23 @@ def odometer_table(spec: SystemSpec, indices: Iterable[int],
     """eta, delta, theta, kappa, gamma (and omega at a given kappa) per index."""
     table = CriteriaTable(spec=spec)
     for i in indices:
-        table.put("eta", i, spec.eta(i), "closed-form")
-        table.put("delta", i, spec.delta(i), "closed-form")
-        table.put("theta", i, theta(spec, i), "closed-form")
-        table.put("kappa", i, kappa(spec, i), "path-dp")
-        m = spec.m(i)
-        gval, _, _ = gamma_witness(spec, i)
-        table.put("gamma", i, gval,
-                  "brute-force" if m <= GAMMA_BRUTE_CAP else "search-lower-bound")
-        if kappa_param is not None:
-            table.put("omega", i, omega(spec, i, kappa_param), "closed-form")
+        odometer_row(table, i, kappa_param)
     return table
+
+
+def odometer_row(table: CriteriaTable, i: int, kappa_param=None) -> None:
+    """Put odometer_table's entries for index i, column by column."""
+    spec = table.spec
+    table.put("eta", i, spec.eta(i), "closed-form")
+    table.put("delta", i, spec.delta(i), "closed-form")
+    table.put("theta", i, theta(spec, i), "closed-form")
+    table.put("kappa", i, kappa(spec, i), "path-dp")
+    m = spec.m(i)
+    gval, _, _ = gamma_witness(spec, i)
+    table.put("gamma", i, gval,
+              "brute-force" if m <= GAMMA_BRUTE_CAP else "search-lower-bound")
+    if kappa_param is not None:
+        table.put("omega", i, omega(spec, i, kappa_param), "closed-form")
 
 
 # ---------------------------------------------------------------------------

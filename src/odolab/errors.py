@@ -6,9 +6,12 @@ class OdolabError(Exception):
 
 
 class CapExceeded(OdolabError):
-    """A truncation or enumeration would exceed the configured cell cap.
+    """Work past a budget that is checked before the work starts.
 
-    Callers should fall back to product-form algebra or seeded sampling.
+    The budget is a cell cap for a truncation or enumeration, where callers
+    fall back to product-form algebra or seeded sampling, or a DP-step
+    budget for an optimizer scan, where a table stops short and a verdict
+    or witness is inconclusive.
     """
 
 

@@ -185,11 +185,68 @@ def test_cli_sequences_tsv(tmp_path):
     assert "path-dp" in row8["optimizers"]
 
 
-def test_cli_sequences_translation(tmp_path):
+def test_cli_sequences_translation(tmp_path, capsys):
     code = main(["sequences", "trans-hc", "--horizon", "6",
                  "--out", str(tmp_path)])
     assert code == 0
     assert (tmp_path / "sequences-trans-hc-shifts.tsv").exists()
+    # no budget trips, so no table says where it stopped
+    assert capsys.readouterr().out.startswith("reports: ")
+
+
+def _column(path, name):
+    rows = [line.split("\t") for line in path.read_text().splitlines()]
+    col = rows[0].index(name)
+    return {int(r[0]): r[col] for r in rows[1:]}
+
+
+def test_cli_sequences_stops_at_the_beta_budget(tmp_path, capsys):
+    # m_i = 2^i; beta at i = 11 would need 2048 * 2047 steps on float weights
+    start = time.perf_counter()
+    code = main(["sequences", "trans-hc", "--out", str(tmp_path)])
+    assert time.perf_counter() - start < 10
+    assert code == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("beta table stopped at i = 11: beta_sup needs ")
+    assert len(out) == 2 and out[1].startswith("reports: ")
+    beta = _column(tmp_path / "sequences-trans-hc.tsv", "beta")
+    assert [i for i, v in beta.items() if v] == list(range(1, 11))
+    shifts = _column(tmp_path / "sequences-trans-hc-shifts.tsv", "gamma_n")
+    assert sorted(shifts) == list(range(1, 51))
+
+
+def test_cli_sequences_odometer_stops_at_the_kappa_budget(tmp_path, capsys):
+    cfg = tmp_path / "uniform.json"
+    cfg.write_text(json.dumps(_product_config("odometer", 2048,
+                                              ["1/2048"] * 2048)))
+    code = main(["sequences", f"@{cfg}", "--horizon", "3",
+                 "--out", str(tmp_path / "out")])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("odometer table stopped at i = 1: kappa needs ")
+    [report] = (tmp_path / "out").glob("sequences-*.tsv")
+    header = report.read_text().splitlines()[0].split("\t")
+    assert header == ["index", "delta", "eta", "theta", "optimizers"]
+
+
+def test_cli_sequences_trans_mixing_ends(tmp_path, capsys):
+    start = time.perf_counter()
+    code = main(["sequences", "trans-mixing", "--horizon", "8",
+                 "--out", str(tmp_path)])
+    assert time.perf_counter() - start < 10
+    assert code == 0
+    assert capsys.readouterr().out.startswith("beta table stopped at i = ")
+
+
+def test_cli_ufhc_count_stops_at_the_sweep_budget(tmp_path, capsys):
+    # the tilt stays 1 at every depth, so only the budget ends the scan
+    start = time.perf_counter()
+    code = main(["witness", "trans-hufhc", "--name", "ufhc-count",
+                 "--epsilon", "0.5", "--out", str(tmp_path)])
+    assert time.perf_counter() - start < 10
+    assert code == 1
+    out = capsys.readouterr().out
+    assert out.startswith("witness inconclusive: gamma sweep needs ")
 
 
 def test_cli_witness_fhc(tmp_path):

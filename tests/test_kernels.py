@@ -2,7 +2,8 @@
 
 The oracles below are the implementations the kernels replaced: a path DP
 that copies its chosen tuple on every step, a cycle-DP optimum on float
-weights, and the inline "run^2 / t" prefix loops.  They stay here as the
+weights, the inline "run^2 / t" prefix loops, and the per-Fraction optimizers
+that ran on mu_i before the integer numerators.  They stay here as the
 reference, and the kernels must agree with them in value, type and chosen
 indices; on floats that means bit for bit.
 """
@@ -10,11 +11,18 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from odolab import gallery
-from odolab.criteria import (_alpha, _best_prefix_average, _mwis_cycle,
-                             _mwis_path, gamma_tilde_witness, theta)
+from odolab import criteria, gallery
+from odolab.criteria import (GAMMA_BRUTE_CAP, _alpha, _best_prefix_average,
+                             _gamma_exhaustive, _gamma_sweep, _mwis_cycle,
+                             _mwis_path, _solve_chains, alpha_shift_witness,
+                             beta_sup, disjoint_shift_set_zplus,
+                             gamma_tilde_witness, gamma_witness, kappa, theta,
+                             theta_witness)
+from odolab.errors import CapExceeded
+from odolab.scalars import integer_view
+from odolab.space import SystemSpec
 
 
 # ---------------------------------------------------------------------------
@@ -217,3 +225,116 @@ def test_gamma_tilde_witness_chooses_as_before(gid, index_horizon):
         old_val, old_chosen = gamma_tilde_chosen(spec, n, index_horizon)
         assert same(val, old_val)
         assert chosen == old_chosen
+
+
+# ---------------------------------------------------------------------------
+# optimizers on integer numerators against the per-Fraction definitions
+# ---------------------------------------------------------------------------
+
+def same_measure_spec(nums):
+    """A translation whose every coordinate carries nums / sum(nums)."""
+    total = sum(nums)
+    return SystemSpec.from_config({
+        "kind": "diagonal-translation",
+        "alphabet": {"family": "constant", "params": {"m": len(nums)}},
+        "measure": {"family": "same",
+                    "params": {"weights": [f"{x}/{total}" for x in nums]}}})
+
+
+def fraction_theta(w, shift=None):
+    m = len(w)
+    zero = Fraction(0)
+
+    def drop(k):
+        D = frozenset(j for j in range(m) if w[j] > w[(j + k) % m])
+        return sum((w[j] - w[(j + k) % m] for j in D), zero), D
+
+    if shift is not None:
+        k = shift % m
+        if k == 0:
+            return zero, frozenset(), 0
+        return drop(k) + (k,)
+    best = (zero, frozenset(), 0)
+    for k in range(1, m):
+        val, D = drop(k)
+        if val > best[0]:
+            best = (val, D, k)
+    return best
+
+
+def fraction_zplus(w, j):
+    return _solve_chains(_mwis_path, w, [range(s, len(w), j) for s in range(j)])
+
+
+def fraction_kappa(w):
+    best = None
+    for j in range(1, len(w)):
+        val, _ = fraction_zplus(w, j)
+        if best is None or val < best:
+            best = val
+    return best
+
+
+def fraction_beta(w):
+    """Every residue, not only r <= m/2."""
+    best = None
+    for r in range(1, len(w)):
+        val = _alpha(w, r)[0]
+        if best is None or val > best:
+            best = val
+    return best
+
+
+def fraction_gamma(w):
+    m = len(w)
+    if m == 2:
+        return (w[0], frozenset({0}), 1) if w[0] >= w[1] else \
+            (w[1], frozenset({1}), 1)
+    if m <= GAMMA_BRUTE_CAP:
+        nums, q = integer_view(w)                    # a view built per call
+        val, D, j = _gamma_exhaustive(nums, q)
+        return Fraction(val, q), D, j
+    return _gamma_sweep(w, None)                      # 1 - b on Fractions
+
+
+def same_witness(got, want):
+    assert same(got[0], want[0])
+    assert tuple(got[1:]) == tuple(want[1:])
+
+
+# numerators 1..3 make ties common; m past GAMMA_BRUTE_CAP reaches the sweep
+exact_vectors = st.integers(2, 24).flatmap(
+    lambda m: st.lists(st.integers(1, 3), min_size=m, max_size=m))
+
+
+@settings(max_examples=150, deadline=None)
+@given(exact_vectors, st.integers(0, 30))
+@example([1] * 24, 5)
+@example([3, 1, 3, 1, 2] * 4, 7)
+def test_exact_optimizers_match_the_fraction_definitions(nums, n):
+    spec = same_measure_spec(nums)
+    w = spec.mu(1)
+    m = len(w)
+    same_witness(theta_witness(spec, 1), fraction_theta(w))
+    same_witness(theta_witness(spec, 1, shift=n), fraction_theta(w, n))
+    j = 1 + n % (m - 1)
+    same_witness(disjoint_shift_set_zplus(spec, 1, j), fraction_zplus(w, j))
+    assert same(kappa(spec, 1), fraction_kappa(w))
+    same_witness(alpha_shift_witness(spec, 1, n), _alpha(w, n))
+    assert same(beta_sup(spec, 1), fraction_beta(w))
+    same_witness(gamma_witness(spec, 1), fraction_gamma(w))
+
+
+@pytest.mark.parametrize("scan,kernel", [
+    (lambda s: beta_sup(s, 1), "_mwis_cycle"),
+    (lambda s: kappa(s, 1), "_mwis_path"),
+    # the sweep's first work is sorting the symbols
+    (lambda s: gamma_witness(s, 1), "sorted"),
+], ids=["beta_sup", "kappa", "gamma-sweep"])
+def test_budgets_trip_before_any_work(monkeypatch, scan, kernel):
+    def ran(*args, **kwargs):
+        raise AssertionError(f"{kernel} ran before the budget check")
+
+    monkeypatch.setattr(criteria, kernel, ran, raising=False)
+    with pytest.raises(CapExceeded, match="work budget"):
+        scan(same_measure_spec([1] * 2048))
