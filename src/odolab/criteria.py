@@ -33,14 +33,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-import numpy as np
-
 from .errors import CapExceeded, OdolabError, UnknownTheorem
 from .scalars import Scalar, format_scalar
 from .space import SHIFT, SystemSpec
 
 GAMMA_BRUTE_CAP = 16
-WORK_BUDGET = 1 << 20     # DP steps one scan may take; checked before it starts
+WORK_BUDGET = 1 << 20     # steps one scan may take; checked before it starts
 
 
 def _weights(spec: SystemSpec, i: int) -> tuple:
@@ -54,9 +52,9 @@ def _scalar(value, q: Optional[int]) -> Scalar:
     return value if q is None else Fraction(value, q)
 
 
-def _charge(steps: int, scan: str) -> None:
+def charge_work(steps: int, scan: str, unit: str = "DP steps") -> None:
     if steps > WORK_BUDGET:
-        raise CapExceeded(f"{scan} needs {steps} DP steps, "
+        raise CapExceeded(f"{scan} needs {steps} {unit}, "
                           f"past the work budget of {WORK_BUDGET}")
 
 
@@ -157,7 +155,7 @@ def kappa(spec: SystemSpec, i: int) -> Scalar:
     """Min over shifts of the best shift-disjoint mass (integer addition)."""
     w, q = _weights(spec, i)
     m = len(w)
-    _charge(m * (m - 1), "kappa")
+    charge_work(m * (m - 1), "kappa")
     return _scalar(min(_zplus(w, j)[0] for j in range(1, m)), q)
 
 
@@ -214,7 +212,7 @@ def beta_sup(spec: SystemSpec, i: int) -> Scalar:
     w, q = _weights(spec, i)
     m = len(w)
     last = m // 2 if q is not None else m - 1
-    _charge(m * last, "beta_sup")
+    charge_work(m * last, "beta_sup")
     return _scalar(max(_alpha(w, r)[0] for r in range(1, last + 1)), q)
 
 
@@ -258,6 +256,7 @@ def gamma_witness(spec: SystemSpec, i: int) -> tuple:
 
 def _gamma_exhaustive(w: Sequence[Scalar], q: Optional[int]) -> tuple:
     """(value, D, j) on _weights' row, over every bitmask and shift."""
+    import numpy as np
     m = len(w)
     if q is not None:
         ints = np.array(w, dtype=np.int64)
@@ -288,7 +287,7 @@ def _gamma_sweep(w: Sequence[Scalar], q: Optional[int]) -> tuple:
     The row is _weights' row, whose total mass is q (1 on floats).
     """
     m = len(w)
-    _charge(2 * m * (m - 1), "gamma sweep")
+    charge_work(2 * m * (m - 1), "gamma sweep")
     one = 1 if q is None else q
     zero = 0 * w[0]
     best = (zero, frozenset(), 1)
@@ -311,12 +310,14 @@ def _gamma_sweep(w: Sequence[Scalar], q: Optional[int]) -> tuple:
 
 def omega(spec: SystemSpec, i: int, kappa_param) -> Scalar:
     """Mass of the top interval of width kappa * m_i * m_{i+1} symbols."""
-    if not 0 < Fraction(kappa_param) < 1:
+    k = Fraction(kappa_param)
+    if not 0 < k < 1:
         raise ValueError("kappa must lie in (0, 1)")
     m = spec.m(i)
     m_next = spec.m(i + 1)
-    lo_real = Fraction(m - 1) - Fraction(kappa_param) * m * m_next
-    lo = max(0, math.ceil(lo_real))
+    # ceil(m - 1 - k m m_next) with k = a/b, on integers
+    a, b = k.numerator, k.denominator
+    lo = max(0, -((a * m * m_next - b * (m - 1)) // b))
     return spec.interval_measure(i, lo, m - 1)
 
 

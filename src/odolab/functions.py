@@ -12,8 +12,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
-import numpy as np
-
 from .maps import InducedBijection
 from .scalars import Scalar, format_scalar, integer_view, is_exact, scalar_sum
 from .space import SimpleFunction, SystemSpec, TruncatedSpace, build_truncation
@@ -28,6 +26,7 @@ def apply_composition(spec: SystemSpec, f: SimpleFunction, n: int = 1) -> Simple
         raise ValueError("n must be >= 0")
     if n == 0:
         return f
+    import numpy as np
     index = InducedBijection(spec, f.depth).forward(np.arange(len(f.values)), n)
     if isinstance(f.values, np.ndarray):
         return SimpleFunction(spec=spec, depth=f.depth, values=f.values[index])
@@ -44,6 +43,7 @@ def _integer_values(values) -> Optional[tuple]:
     view = integer_view(values)
     if view is None:
         return None
+    import numpy as np
     nums, den = view
     small = max(map(abs, nums)) < 1 << 62
     return np.array(nums, dtype=np.int64 if small else object), den
@@ -56,6 +56,7 @@ def _lp_pow_integer(tr: TruncatedSpace, nums: np.ndarray, p: int) -> int:
     2**63 (the measure numerators sum to that denominator), else on Python
     ints.
     """
+    import numpy as np
     measures, den = tr.measure_vector()
     top = int(np.max(np.abs(nums)))
     small = measures.dtype == np.int64 and top ** p * den < 1 << 63

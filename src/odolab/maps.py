@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .errors import CapExceeded, CarryOverflow, UnresolvedTail
 from .scalars import Scalar, format_scalar
 from .space import (ODOMETER, SHIFT, TRANSLATION, DepthSet, SystemSpec,
@@ -150,6 +148,7 @@ class InducedBijection:
         return self.forward(cell, -n)
 
     def as_permutation(self, n: int = 1) -> list:
+        import numpy as np
         return self.forward(np.arange(self.cell_count), n).tolist()
 
     def order(self) -> int:
@@ -257,6 +256,7 @@ def forward_image_measure(spec: SystemSpec, S: DepthSet, n: int) -> Scalar:
 
 def _enumerated_image_measure(spec: SystemSpec, S: DepthSet, n: int) -> Scalar:
     """mu(map^n(S)) summed over the cells of S moved by n (n < 0 pulls back)."""
+    import numpy as np
     bij = InducedBijection(spec, S.depth)
     tr = build_truncation(spec, S.depth)
     cells = np.fromiter(S.to_cells(), dtype=np.int64)

@@ -18,8 +18,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
-import numpy as np
-
 from .errors import CapExceeded
 from .scalars import (FLOAT_TOL, Scalar, integer_view, is_exact, parse_scalar,
                       scalar_sum)
@@ -968,6 +966,7 @@ class TruncatedSpace:
         coordinate by coordinate, one multiplication per entry.
         """
         if self._vector is None:
+            import numpy as np
             rows, exact = self.spec.weight_rows(self.depth)
             den = math.prod(d for _, d in rows)
             dtype = np.int64 if exact and den < 1 << 63 else object
@@ -980,6 +979,7 @@ class TruncatedSpace:
 
     def measure_of(self, cells) -> Scalar:
         """Exact measure of a collection of cell indices."""
+        import numpy as np
         values, den = self.measure_vector()
         picked = values[np.fromiter(cells, dtype=np.int64)]
         if den is None:
@@ -1063,6 +1063,7 @@ class DepthSet:
 
     def mask(self, cap: Optional[int] = None) -> np.ndarray:
         """Boolean array over the depth-N cells, True on the members."""
+        import numpy as np
         tr = build_truncation(self.spec, self.depth, cap)
         if self.cells is not None:
             keep = np.zeros(tr.cell_count, dtype=bool)
@@ -1079,7 +1080,7 @@ class DepthSet:
     def to_cells(self, cap: Optional[int] = None) -> frozenset:
         if self.cells is not None:
             return self.cells
-        return frozenset(np.flatnonzero(self.mask(cap)).tolist())
+        return frozenset(self.mask(cap).nonzero()[0].tolist())
 
     def explicit(self, cap: Optional[int] = None) -> "DepthSet":
         if self.cells is not None:

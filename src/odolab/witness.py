@@ -21,11 +21,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-import numpy as np
-
-from .criteria import (alpha_shift_witness, disjoint_shift_set_zplus,
-                       gamma_witness, kappa as kappa_seq, omega,
-                       theta_witness)
+from .criteria import (alpha_shift_witness, charge_work,
+                       disjoint_shift_set_zplus, gamma_witness,
+                       kappa as kappa_seq, omega, theta_witness)
 from .errors import (CapExceeded, HypothesisUnavailable,
                      NotFoundWithinHorizon, StrategyInfeasible, WindowTooSmall)
 from .maps import (forward_image_measure, odometer_pullback_measure,
@@ -341,6 +339,7 @@ class _TransitivityMembership:
 
     def __init__(self, spec: SystemSpec, plan: TransitivityPlan,
                  ux_min: int, uy_max: int):
+        import numpy as np
         self.ux_min = ux_min
         self.uy_max = uy_max
         dtype = _digit_dtype(spec, plan.depth)
@@ -361,6 +360,7 @@ class _TransitivityMembership:
                 self.bands.append((slice(a, b - 1), tops[:, None]))
 
     def __call__(self, digits: np.ndarray) -> np.ndarray:
+        import numpy as np
         hits = np.zeros(digits.shape[1], dtype=np.int64)
         for row, table in self.hits:
             hits += table[digits[row]]
@@ -373,6 +373,7 @@ class _TransitivityMembership:
 
 def _digit_dtype(spec: SystemSpec, depth: int):
     """Smallest integer dtype holding a digit plus a digit plus a carry."""
+    import numpy as np
     top = 2 * max(spec.m(i) for i in range(1, depth + 1)) - 1
     for dtype in (np.int8, np.int16, np.int32):
         if top <= np.iinfo(dtype).max:
@@ -383,6 +384,7 @@ def _digit_dtype(spec: SystemSpec, depth: int):
 def _digit_matrix_from_indices(spec: SystemSpec, depth: int,
                                idx: np.ndarray) -> np.ndarray:
     """Depth-major digits of the cells idx: row i - 1 holds coordinate i."""
+    import numpy as np
     out = np.empty((depth, len(idx)), dtype=_digit_dtype(spec, depth))
     rem = idx.copy()
     for i in range(1, depth + 1):
@@ -400,6 +402,7 @@ def _add_iterate(digits: np.ndarray, moduli: Sequence[int],
     non-negative exactly when a carry goes out.  The carry runs row by row:
     k has nonzero digits up to the depth, so it cannot stop early.
     """
+    import numpy as np
     m = np.array(moduli, dtype=digits.dtype)[:, None]
     out = digits + (np.array(k_digits, dtype=digits.dtype)[:, None] - m)
     carry = np.zeros(digits.shape[1], dtype=bool)
@@ -411,6 +414,7 @@ def _add_iterate(digits: np.ndarray, moduli: Sequence[int],
 
 
 def _exhaustive_disjointness(spec, membership, depth, k) -> int:
+    import numpy as np
     cells = spec.cell_count(depth)
     chunk = 1 << 18
     # mark membership cell by cell; the image cell of c is (c + k) mod M
@@ -424,6 +428,7 @@ def _exhaustive_disjointness(spec, membership, depth, k) -> int:
 
 def _self_overlap(mask: np.ndarray, k: int) -> int:
     """Number of cells c of B with c + k in B, indices taken mod M."""
+    import numpy as np
     k %= len(mask)
     return int(np.count_nonzero(mask & np.roll(mask, -k)))
 
@@ -439,6 +444,7 @@ def _sample_thresholds(spec: SystemSpec, depth: int) -> np.ndarray:
     non-negative floats never decreases.  Entries >= 1 are dropped, since
     u < 1 never reaches them.
     """
+    import numpy as np
     cdfs = []
     for i in range(1, depth + 1):
         cdf = np.cumsum([float(x) for x in spec.mu(i)])
@@ -458,6 +464,7 @@ def _sampled_disjointness(spec, membership, depth, k, trials, seed,
     are the rows of one (size, depth) draw.  Digits come from comparisons
     against the cdf thresholds and are held depth-major.
     """
+    import numpy as np
     child_seeds = np.random.SeedSequence(seed).spawn(
         (trials + chunk - 1) // chunk)
     thresholds = _sample_thresholds(spec, depth)
@@ -653,6 +660,7 @@ def fhc_witness(spec: SystemSpec, epsilon: float, kappa_param,
         ks = list(range(kd + 1))
         coverage = "all-k"
     else:
+        import numpy as np
         rng = np.random.Generator(np.random.PCG64(seed))
         ks = sorted({0, 1, kd} | set(
             int(x) for x in rng.integers(0, kd + 1, size=spot_checks)))
@@ -737,6 +745,8 @@ def ufhc_count(spec: SystemSpec, epsilon: float, kappa_param=Fraction(1, 5),
     if n_iter is None:
         raise ValueError("n_iter is required when B is supplied")
     m_count = count_window or math.ceil((1 + kappa_param) * n_iter)
+    # each iterate is one transport through the depth of B
+    charge_work(m_count * B.depth, "ufhc count", "transport steps")
     qualifying = []
     for k in range(1, m_count + 1):
         if float(1 - preimage_measure(spec, B, k)) <= epsilon + 1e-15:

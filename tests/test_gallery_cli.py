@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -7,6 +10,7 @@ import dataclasses
 
 import pytest
 
+import odolab
 from odolab import gallery
 from odolab.cli import main, verify_gallery
 from odolab.gallery import (GALLERY, get_spec, list_gallery,
@@ -247,6 +251,41 @@ def test_cli_ufhc_count_stops_at_the_sweep_budget(tmp_path, capsys):
     assert code == 1
     out = capsys.readouterr().out
     assert out.startswith("witness inconclusive: gamma sweep needs ")
+
+
+def test_cli_ufhc_count_stops_at_the_transport_budget(tmp_path, capsys):
+    # depth 20 and n = 2^19: 629,146 iterates, each a 20-step transport
+    start = time.perf_counter()
+    code = main(["witness", "fhc-binary", "--name", "ufhc-count",
+                 "--out", str(tmp_path)])
+    assert time.perf_counter() - start < 10
+    assert code == 1
+    out = capsys.readouterr().out
+    assert out.startswith("witness inconclusive: ufhc count needs ")
+
+
+STARTUP_PROBE = """
+import sys
+from odolab.cli import load_spec, main
+from odolab.gallery import list_gallery
+for gid, _ in list_gallery():
+    load_spec(gid)
+out = sys.argv[1]
+assert main(["classify", "trans-hc", "--out", out]) == 0
+assert main(["sequences", "binary-alpha(2)", "--horizon", "50",
+             "--out", out]) == 0
+print(sorted(m for m in sys.modules if m.split(".")[0] == "numpy")[:3])
+"""
+
+
+def test_cli_exact_commands_do_not_import_numpy(tmp_path):
+    # the test process has NumPy loaded already, so a fresh interpreter runs
+    src = os.path.dirname(os.path.dirname(odolab.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", STARTUP_PROBE, str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_cli_witness_fhc(tmp_path):

@@ -18,8 +18,8 @@ from odolab.criteria import (GAMMA_BRUTE_CAP, _alpha, _best_prefix_average,
                              _gamma_exhaustive, _gamma_sweep, _mwis_cycle,
                              _mwis_path, _solve_chains, alpha_shift_witness,
                              beta_sup, disjoint_shift_set_zplus,
-                             gamma_tilde_witness, gamma_witness, kappa, theta,
-                             theta_witness)
+                             gamma_tilde_witness, gamma_witness, kappa, omega,
+                             theta, theta_witness)
 from odolab.errors import CapExceeded
 from odolab.scalars import integer_view
 from odolab.space import SystemSpec
@@ -338,3 +338,36 @@ def test_budgets_trip_before_any_work(monkeypatch, scan, kernel):
     monkeypatch.setattr(criteria, kernel, ran, raising=False)
     with pytest.raises(CapExceeded, match="work budget"):
         scan(same_measure_spec([1] * 2048))
+
+
+# ---------------------------------------------------------------------------
+# omega's interval start on integers against the Fraction expression
+# ---------------------------------------------------------------------------
+
+def fraction_omega(spec, i, kappa_param):
+    m, m_next = spec.m(i), spec.m(i + 1)
+    lo = max(0, math.ceil(Fraction(m - 1) - Fraction(kappa_param) * m * m_next))
+    return spec.interval_measure(i, lo, m - 1)
+
+
+kappas = st.one_of(
+    st.fractions(min_value=0, max_value=1, max_denominator=10 ** 9).filter(
+        lambda k: 0 < k < 1),
+    st.floats(min_value=0, max_value=1, exclude_min=True, exclude_max=True))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 10 ** 6), st.integers(2, 10 ** 6), kappas)
+@example(5, 2, Fraction(1, 5))            # m - 1 - k m m_next is an integer
+@example(2, 2, Fraction(1, 4))            # lo = 0 exactly
+@example(10 ** 6, 10 ** 6, 1e-12)
+def test_omega_matches_the_fraction_expression(m, m_next, kappa_param):
+    # uniform weights make omega (m - lo) / m, so it pins the interval start
+    spec = SystemSpec.from_config({
+        "kind": "odometer",
+        "alphabet": {"family": "list", "params": {"list": [m, m_next],
+                                                  "repeat": "last"}},
+        "measure": {"family": "uniform", "params": {}}})
+    got = omega(spec, 1, kappa_param)
+    want = fraction_omega(spec, 1, kappa_param)
+    assert same(got, want)
