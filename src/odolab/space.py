@@ -139,7 +139,8 @@ class MeasureFamily:
     a piecewise-geometric description (huge alphabets).  `backend` declares
     whether weights are exact rationals ("rational") or floats ("float").
     `weight(i, m, j)` equals `weights(i, m)[j % m]` in value; an override may
-    differ from it only in the rounding of float weights.
+    differ from it only in the rounding of float weights.  SystemSpec reads
+    `weight` only past VECTOR_CAP, where it holds no vector.
     """
 
     name: str = ""
@@ -156,9 +157,8 @@ class MeasureFamily:
         return "rational"
 
     # -- generic accessors (overridable with closed forms) ------------------
-    # The defaults of eta, delta, interval_measure, subset_measure and
-    # sup_shift_ratio read only the weight vector, so SystemSpec serves them
-    # from its memo.
+    # The defaults of eta, delta, interval_measure and sup_shift_ratio read
+    # only the weight vector, so SystemSpec serves them from its memo.
     def weight(self, i: int, m: int, j: int) -> Scalar:
         return self.weights(i, m)[j % m]
 
@@ -171,9 +171,6 @@ class MeasureFamily:
     def interval_measure(self, i: int, m: int, lo: int, hi: int) -> Scalar:
         """Weight of the integer interval [lo, hi] intersected with [0, m)."""
         return _interval_sum(self.weights(i, m), lo, hi, self.backend)
-
-    def subset_measure(self, i: int, m: int, subset: Iterable[int]) -> Scalar:
-        return _subset_sum(self.weights(i, m), subset)
 
     def sup_shift_ratio(self, i: int, m: int, s: int) -> Scalar:
         """sup_j mu_i(j - s mod m) / mu_i(j); equals 1 when s = 0 mod m."""
@@ -193,10 +190,6 @@ def _interval_sum(w: Sequence[Scalar], lo: int, hi: int,
     if lo > hi:
         return Fraction(0) if backend == "rational" else 0.0
     return scalar_sum(w[lo:hi + 1])
-
-
-def _subset_sum(w: Sequence[Scalar], subset: Iterable[int]) -> Scalar:
-    return scalar_sum(w[j % len(w)] for j in subset)
 
 
 def _shift_ratio(w: Sequence[Scalar], s: int) -> Scalar:
@@ -529,10 +522,8 @@ class RampMeasure(MeasureFamily):
         raise AssertionError("pieces do not cover the alphabet")
 
     def eta(self, i, m):
-        def piece_max(length, first, ratio):
-            return first if ratio <= 1 else _geom_at(first, ratio, length - 1)
-        return max(piece_max(length, first, ratio)
-                   for _, length, first, ratio in self.pieces(i, m))
+        # every piece is flat or decays, so its first weight is its largest
+        return max(first for _, _, first, _ in self.pieces(i, m))
 
     def delta(self, i, m):
         # the flat weight is the minimum: every ramp decays back down to it
@@ -550,9 +541,6 @@ class RampMeasure(MeasureFamily):
             part = _geom_interval_sum(first, ratio, a - start, b - start)
             total = part if total is None else total + part
         return total if total is not None else Fraction(0)
-
-    def subset_measure(self, i, m, subset):
-        return scalar_sum(self.weight(i, m, j) for j in subset)
 
     def sup_shift_ratio(self, i, m, s):
         s %= m
@@ -594,9 +582,7 @@ def _geom_at(first: Scalar, ratio: Scalar, t: int) -> Scalar:
         return float(first) * math.exp(t * lr)
     if is_exact(first) and is_exact(ratio):
         return first * ratio ** t
-    if ratio == 1:
-        return float(first)
-    return float(first) * math.exp(t * math.log(float(ratio)))
+    return float(first)    # the flat float piece, ratio 1.0
 
 
 def _geom_interval_sum(first: Scalar, ratio: Scalar, t0: int, t1: int) -> Scalar:
@@ -605,16 +591,10 @@ def _geom_interval_sum(first: Scalar, ratio: Scalar, t0: int, t1: int) -> Scalar
     lr = getattr(ratio, "log_value", None)
     if lr is not None:
         head = float(first) * math.exp(t0 * lr)
-        if lr == 0.0:
-            return head * k
         return head * math.expm1(k * lr) / math.expm1(lr)
     if ratio == 1:
         return first * k
-    head = _geom_at(first, ratio, t0)
-    if is_exact(first) and is_exact(ratio):
-        return head * (ratio ** k - 1) / (ratio - 1)
-    r = float(ratio)
-    return float(head) * (math.exp(k * math.log(r)) - 1.0) / (r - 1.0)
+    return _geom_at(first, ratio, t0) * (ratio ** k - 1) / (ratio - 1)
 
 
 _MEASURE_FAMILIES = {
@@ -676,15 +656,15 @@ _UNSET = object()
 class _Coord:
     """Memoised view of one coordinate, each part filled in on first use.
 
-    `weights` is the family's vector and `row` its per-symbol `weight`s;
-    `ints` is (numerators, lcm denominator), or None for float weights.
+    `weights` is the family's vector, which every reader of the coordinate
+    sees; `ints` is (numerators, lcm denominator), or None for float weights.
     """
 
-    __slots__ = ("m", "weights", "row", "ints")
+    __slots__ = ("m", "weights", "ints")
 
     def __init__(self, m: int):
         self.m = m
-        self.weights = self.row = self.ints = _UNSET
+        self.weights = self.ints = _UNSET
 
 
 @dataclass
@@ -741,9 +721,9 @@ class SystemSpec:
 
     def _keep(self, i: int, slot: str, value):
         """Store and return coordinate i's `slot`, charged m_i unless it is
-        None or the held vector; past VECTOR_CAP, start over unstored."""
+        None; past VECTOR_CAP, start over unstored."""
         coord = self._coord(i)
-        size = 0 if value is None or value is coord.weights else coord.m
+        size = 0 if value is None else coord.m
         if self._held + size <= VECTOR_CAP:
             self._held += size
             setattr(coord, slot, value)
@@ -763,23 +743,12 @@ class SystemSpec:
 
     def mu_weight(self, i: int, j: int) -> Scalar:
         coord = self._coord(i)
-        if coord.row is _UNSET:
-            if coord.m > VECTOR_CAP and not self._vector_default("weight"):
+        w = coord.weights
+        if w is _UNSET:
+            if coord.m > VECTOR_CAP:     # no vector; the family's closed form
                 return self.measure.weight(i, coord.m, j)
-            return self._symbol_row(i)[j % coord.m]
-        return coord.row[j % coord.m]
-
-    def _symbol_row(self, i: int) -> tuple:
-        # the vector itself, unless `weight` is overridden on float weights,
-        # where a ramp's per-symbol powers and iterated products differ
-        row = self._coord(i).row
-        if row is _UNSET:
-            row = self.mu(i)
-            if not (self._vector_default("weight") or all(map(is_exact, row))):
-                row = tuple(self.measure.weight(i, len(row), j)
-                            for j in range(len(row)))
-            self._keep(i, "row", row)
-        return row
+            w = self.mu(i)
+        return w[j % coord.m]
 
     def integer_weights(self, i: int) -> Optional[tuple]:
         """(numerators, denominator) of mu_i over the lcm of its denominators.
@@ -796,14 +765,14 @@ class SystemSpec:
         """Per-coordinate (weights, denominator) rows for i = 1 .. depth.
 
         When every coordinate is exact the rows are integer numerators and
-        the flag is True.  Otherwise they are the scalars mu_weight(i, j)
-        over 1, so a kernel run on them does the per-symbol scalar
-        arithmetic, operation for operation.
+        the flag is True.  Otherwise they are the memoised vectors mu(i) over
+        1, so a kernel run on them does the per-symbol scalar arithmetic,
+        operation for operation.
         """
         rows = [self.integer_weights(i) for i in range(1, depth + 1)]
         if all(r is not None for r in rows):
             return rows, True
-        return [(self._symbol_row(i), 1) for i in range(1, depth + 1)], False
+        return [(self.mu(i), 1) for i in range(1, depth + 1)], False
 
     def _vector_default(self, name: str) -> bool:
         """Whether the family keeps MeasureFamily's default for `name`,
@@ -827,9 +796,8 @@ class SystemSpec:
         return self.measure.interval_measure(i, self.m(i), lo, hi)
 
     def subset_measure(self, i: int, subset: Iterable[int]) -> Scalar:
-        if self._vector_default("subset_measure"):
-            return _subset_sum(self.mu(i), subset)
-        return self.measure.subset_measure(i, self.m(i), subset)
+        w = self.mu(i)
+        return scalar_sum(w[j % len(w)] for j in subset)
 
     def sup_shift_ratio(self, i: int, s: int) -> Scalar:
         if self._vector_default("sup_shift_ratio"):

@@ -828,6 +828,10 @@ def src_search(spec: SystemSpec, epsilon: float, depth_horizon: int = 8,
         return True
 
     for depth in range(1, depth_horizon + 1):
+        # 2 m_d - 1 candidates, each a cylinder over every symbol of 1..depth
+        charge_work((2 * spec.m(depth) - 1)
+                    * sum(spec.m(i) for i in range(1, depth + 1)),
+                    f"src scan at depth {depth}", "cylinder symbols")
         for s in _cylinder_candidates(spec, depth):
             B = DepthSet.cylinder(spec, depth, {depth: s})
             comp = 1 - set_measure(spec, B)

@@ -1,5 +1,6 @@
-"""README's tables name exactly what the code registers."""
+"""README's tables and commands name exactly what the code registers."""
 import re
+import shlex
 from pathlib import Path
 
 from odolab import cli
@@ -30,3 +31,15 @@ def test_readme_witness_list_names_every_cli_witness():
     names = [n for item in items
              for n in re.findall(r"`([^`]+)`", item.split(" — ", 1)[0])]
     assert sorted(names) == sorted(cli.WITNESSES)
+
+
+def test_readme_command_block_parses_and_loads_its_specs():
+    block = section("Command line").split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.replace("\\\n", " ").splitlines()
+             if line.startswith("odolab ")]
+    assert len(lines) == 8
+    parser = cli.build_parser()
+    for line in lines:
+        args = parser.parse_args(shlex.split(line)[1:])
+        if getattr(args, "spec", None) is not None:
+            cli.load_spec(args.spec)

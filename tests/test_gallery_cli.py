@@ -264,6 +264,16 @@ def test_cli_ufhc_count_stops_at_the_transport_budget(tmp_path, capsys):
     assert out.startswith("witness inconclusive: ufhc count needs ")
 
 
+@pytest.mark.parametrize("gid", ["trans-rigid", "trans-mixing"])
+def test_cli_src_stops_at_the_scan_budget(gid, tmp_path, capsys):
+    # m_3 = 4096 on trans-rigid: every candidate spans 4,164 cylinder symbols
+    start = time.perf_counter()
+    code = main(["witness", gid, "--name", "src", "--out", str(tmp_path)])
+    assert time.perf_counter() - start < 10
+    assert code == 1
+    assert capsys.readouterr().out.startswith("witness inconclusive: ")
+
+
 STARTUP_PROBE = """
 import sys
 from odolab.cli import load_spec, main

@@ -166,7 +166,7 @@ def carry_chain_oracle(spec, factors, k, subtract=False):
                 nxt = (t < 0) if subtract else (t >= m)
                 if want is not None and t % m not in want:
                     continue
-                w = fin * spec.measure.weight(i, m, x)
+                w = fin * spec.mu_weight(i, x)
                 if nxt:
                     g1 = w if g1 is None else g1 + w
                 else:
@@ -216,9 +216,10 @@ def test_carry_chain_matches_enumeration(data):
     assert preimage_measure(spec, E, k) == brute_pull
 
 
-def test_float_ramp_coordinate_uses_per_symbol_weights(monkeypatch):
+def test_float_ramp_coordinate_reads_one_vector(monkeypatch):
     # a ramp past the exact cap runs in floats, where weight(j) differs in
-    # the last bits from the iterated vector weights()
+    # the last bits from the iterated vector weights(); within VECTOR_CAP
+    # every reader sees the memoised vector
     m = 1100
     spec = SystemSpec(kind="odometer",
                       alphabet=AlphabetRule("constant", {"m": m}),
@@ -226,15 +227,14 @@ def test_float_ramp_coordinate_uses_per_symbol_weights(monkeypatch):
                                            "delta": "inv-square"}))
     per_symbol = [spec.measure.weight(1, m, j) for j in range(m)]
     assert per_symbol != list(spec.measure.weights(1, m))
-    # the spec keeps both views, also once the memo has started over: one
-    # coordinate holds 1 + 2m entries, so a second one overflows 3m
-    monkeypatch.setattr(space, "VECTOR_CAP", 3 * m)
+    # also once the memo has started over: one coordinate holds 1 + m
+    # entries (its integer view is None), so a second one overflows 2m
+    monkeypatch.setattr(space, "VECTOR_CAP", 2 * m)
     for i in (1, 2, 1):
         assert spec.mu(i) == spec.measure.weights(i, m)
-        assert ([spec.mu_weight(i, j) for j in range(m)]
-                == [spec.measure.weight(i, m, j) for j in range(m)])
+        assert [spec.mu_weight(i, j) for j in range(m)] == list(spec.mu(i))
         assert list(spec._coords) == [i]
-    assert build_truncation(spec, 1).all_measures() == per_symbol
+    assert build_truncation(spec, 1).all_measures() == list(spec.mu(1))
     want = [set(range(0, m, 3))]
     for k in (1, 550, 1099):
         for subtract in (False, True):

@@ -2,12 +2,12 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from odolab import criteria, gallery, space
 from odolab.cli import ODOMETER_CRITERIA
 from odolab.errors import CapExceeded
-from odolab.scalars import integer_view
+from odolab.scalars import integer_view, is_exact, scalar_sum
 from odolab.space import (AlphabetRule, DepthSet, RampMeasure, SimpleFunction,
                           SystemSpec, atomless_monitor, build_truncation,
                           set_measure)
@@ -103,7 +103,7 @@ def test_scalar_accessors_match_the_measure_family(gid):
                           fam.interval_measure(i, m, lo, hi)))
         for subset in ((), (0,), range(0, m, 2), (m - 1, m, 2 * m + 1)):
             pairs.append((spec.subset_measure(i, subset),
-                          fam.subset_measure(i, m, subset)))
+                          scalar_sum(fam.weight(i, m, j) for j in subset)))
         for got, want in pairs:
             assert type(got) is type(want) and got == want, (gid, i)
 
@@ -132,10 +132,10 @@ def test_scalar_accessors_read_the_memoised_vector(monkeypatch):
 
 def held_entries(spec) -> int:
     """What the memo should be charged: 1 per coordinate plus m_i for each
-    stored vector, a row that is the vector itself counted once."""
+    stored vector."""
     total = 0
     for c in spec._coords.values():
-        views = [c.weights, c.ints, None if c.row is c.weights else c.row]
+        views = [c.weights, c.ints]
         total += 1 + c.m * sum(v not in (None, space._UNSET) for v in views)
     return total
 
@@ -180,8 +180,68 @@ def test_ramp_memoises_pieces_vector_and_integer_view(monkeypatch):
         assert spec.mu_weight(9, 3) == spec.measure.weight(9, m, 3)
         spec.sup_shift_ratio(9, 5)
     assert calls == [9]
-    assert spec._coords[9].row is spec._coords[9].weights
     assert spec._held == held_entries(spec) == 1 + 2 * m
+
+
+def test_mu_weight_past_the_vector_cap_reads_the_family():
+    spec = gallery.get_spec("trans-rigid")
+    m = spec.m(4)
+    assert m == 2 ** 20 > space.VECTOR_CAP
+    for j in (0, 1, m // 5, m // 2, m - 1, m + 3, -1):
+        got, want = spec.mu_weight(4, j), spec.measure.weight(4, m, j)
+        assert type(got) is type(want) and got == want, j
+    assert spec._coords[4].weights is space._UNSET
+    assert spec._held == held_entries(spec) == 1
+
+
+EXACT_RAMPS = ["trans-hc", "trans-fhc", "trans-hufhc", "trans-mixing",
+               "hoeffbis-blocks"]
+
+
+@settings(max_examples=80, deadline=None)
+@given(gid=st.sampled_from(EXACT_RAMPS), i=st.integers(1, 9), data=st.data())
+def test_ramp_subset_measure_matches_per_symbol_fractions(gid, i, data):
+    spec = gallery.get_spec(gid)
+    fam, m = spec.measure, spec.m(i)
+    # trans-mixing's ramp runs in floats from i = 7
+    assume(all(is_exact(first) for _, _, first, _ in fam.pieces(i, m)))
+    subset = data.draw(st.sets(st.integers(-m, 2 * m), max_size=12)
+                       | st.just(range(m)))
+    got = spec.subset_measure(i, subset)
+    want = sum((fam.weight(i, m, j) for j in subset), Fraction(0))
+    assert type(got) is Fraction and got == want
+
+
+def test_ramp_pieces_build_only_three_kinds_of_ratio():
+    # _geom_at, _geom_interval_sum and RampMeasure.eta handle only these:
+    # an exact ratio <= 1, a flat float 1.0, and a float decay by its log.
+    # The extra spec ramps 533 > GEOM_EXACT_CAP symbols on the squares only.
+    float_ramp = SystemSpec(
+        kind="diagonal-translation",
+        alphabet=AlphabetRule("constant", {"m": 1600}),
+        measure=RampMeasure({"layout": "mid", "n": "third",
+                             "delta": "inv-square", "select": "squares"}))
+    specs = [gallery.get_spec(gid) for gid in EXACT_RAMPS + ["trans-rigid"]]
+    seen = set()
+    for spec in specs + [float_ramp]:
+        for i in range(1, 17):
+            m = spec.m(i)
+            try:
+                pieces = spec.measure.pieces(i, m)
+            except CapExceeded:
+                continue
+            for _, _, first, ratio in pieces:
+                if isinstance(ratio, space._GeomRatio):
+                    assert ratio.log_value < 0 and type(first) is float
+                    seen.add("log")
+                elif type(ratio) is float:
+                    assert ratio == 1.0 and type(first) is float
+                    seen.add("flat")
+                else:
+                    assert type(ratio) is Fraction and ratio <= 1
+                    assert type(first) is Fraction
+                    seen.add("exact")
+    assert seen == {"log", "flat", "exact"}
 
 
 def test_translation_memo_keeps_superexponential_alphabets():
@@ -261,7 +321,9 @@ def test_memoised_accessors_match_the_family_across_restarts(data):
                 "mu": (lambda: spec.mu(i), lambda: fam.weights(i, m)),
                 "mu_weight": (
                     lambda: tuple(spec.mu_weight(i, j) for j in range(-1, m)),
-                    lambda: tuple(fam.weight(i, m, j) for j in range(-1, m))),
+                    lambda: tuple(fam.weights(i, m)[j % m] if m <= cap
+                                  else fam.weight(i, m, j)
+                                  for j in range(-1, m))),
                 "integer_weights": (
                     lambda: spec.integer_weights(i),
                     lambda: integer_view(fam.weights(i, m))),
@@ -272,7 +334,8 @@ def test_memoised_accessors_match_the_family_across_restarts(data):
                     lambda: fam.interval_measure(i, m, a, b)),
                 "subset_measure": (
                     lambda: spec.subset_measure(i, (a, b)),
-                    lambda: fam.subset_measure(i, m, (a, b))),
+                    lambda: scalar_sum(fam.weights(i, m)[j % m]
+                                       for j in (a, b))),
                 "sup_shift_ratio": (
                     lambda: spec.sup_shift_ratio(i, a),
                     lambda: fam.sup_shift_ratio(i, m, a)),
