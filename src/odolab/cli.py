@@ -5,6 +5,10 @@ verify-gallery.  Reports are flat files: TSV for sequences and traces
 (plot-ready; rationals as "p/q", floats to 15 significant digits) and JSON
 documents for verdicts and witness reports.  Exit codes: 0 all checks passed,
 1 a check failed, 2 usage or spec error.
+
+Each command imports the layers it runs in its own body, so parsing the
+command line and building specs compile only errors, scalars, space and
+gallery.
 """
 from __future__ import annotations
 
@@ -14,10 +18,9 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from . import criteria, gallery, maps, witness
+from . import gallery
 from .errors import (CapExceeded, HypothesisUnavailable,
                      NotFoundWithinHorizon, OdolabError, StrategyInfeasible)
-from .functions import orbit_trace
 from .scalars import parse_scalar
 from .space import (ODOMETER, SHIFT, TRANSLATION, DepthSet, SimpleFunction,
                     SystemSpec, atomless_monitor)
@@ -68,6 +71,7 @@ def _slug(identifier: str) -> str:
 # ---------------------------------------------------------------------------
 
 def cmd_classify(args, spec: SystemSpec) -> int:
+    from . import criteria, maps
     entry = gallery.entry_for(spec)
     closed = entry.bound_verdict(spec) if entry and entry.bound_verdict else None
     bound = maps.boundedness(spec, min(args.horizon, 24), closed_form=closed)
@@ -102,6 +106,7 @@ def cmd_classify(args, spec: SystemSpec) -> int:
 
 
 def cmd_sequences(args, spec: SystemSpec) -> int:
+    from . import criteria
     out_dir = Path(args.out)
     kappa_param = parse_scalar(args.kappa) if args.kappa else Fraction(1, 5)
     if spec.kind == ODOMETER:
@@ -162,7 +167,7 @@ def cmd_sequences(args, spec: SystemSpec) -> int:
 
 def _translation(sub: str):
     """The diagonal-translation construction `sub` with its CLI parameters."""
-    def build(spec, a):
+    def build(witness, spec, a):
         params = {"epsilon": a.eps}
         if sub == "hoeffding":
             sites = [i for i in range(1, 13) if spec.m(i) <= (1 << 12)]
@@ -173,22 +178,23 @@ def _translation(sub: str):
     return build
 
 
-# witness name -> (spec kinds it drives, its construction on (spec, args))
+# witness name -> (spec kinds it drives, its construction on
+# (witness module, spec, args))
 WITNESSES = {
-    "transitivity": ((ODOMETER,), lambda spec, a: witness.transitivity_witness(
+    "transitivity": ((ODOMETER,), lambda w, spec, a: w.transitivity_witness(
         spec, a.eps, **a.sampling)),
-    "mixing": ((ODOMETER,), lambda spec, a: witness.mixing_witness(
+    "mixing": ((ODOMETER,), lambda w, spec, a: w.mixing_witness(
         spec, a.eps, k=a.iterate or 10 ** 4, cell_cap=a.cap)),
-    "fhc": ((ODOMETER,), lambda spec, a: witness.fhc_witness(
+    "fhc": ((ODOMETER,), lambda w, spec, a: w.fhc_witness(
         spec, a.eps, a.kappa_param, f_symbols=(0, 0, 0), seed=a.seed)),
-    "ufhc-count": ((ODOMETER, TRANSLATION), lambda spec, a: witness.ufhc_count(
+    "ufhc-count": ((ODOMETER, TRANSLATION), lambda w, spec, a: w.ufhc_count(
         spec, a.eps, a.kappa_param)),
-    "src": ((ODOMETER, TRANSLATION), lambda spec, a: witness.src_search(
+    "src": ((ODOMETER, TRANSLATION), lambda w, spec, a: w.src_search(
         spec, a.eps, **a.sampling)),
-    "rigidity": ((TRANSLATION,), lambda spec, a: witness.rigidity_probe(spec)),
+    "rigidity": ((TRANSLATION,), lambda w, spec, a: w.rigidity_probe(spec)),
     **{f"translation-{sub}": ((TRANSLATION,), _translation(sub))
        for sub in ("single-site", "hoeffding", "fhcsum", "ufhcsum")},
-    "shift-fhc": ((SHIFT,), lambda spec, a: witness.shift_fhc_witness(
+    "shift-fhc": ((SHIFT,), lambda w, spec, a: w.shift_fhc_witness(
         spec, kappa_param=0.15)),
 }
 
@@ -199,6 +205,11 @@ def cmd_witness(args, spec: SystemSpec) -> int:
         print(f"witness {args.name} drives {' or '.join(kinds)} specs, "
               f"not {spec.kind}", file=sys.stderr)
         return 2
+    from . import witness
+    if args.seed is None:
+        args.seed = witness.DEFAULT_SEED
+    if args.cap is None:
+        args.cap = witness.EXHAUSTIVE_CELL_CAP
     # without --trials each sampling witness keeps its own default
     sampling = {"seed": args.seed, "cell_cap": args.cap}
     if args.trials is not None:
@@ -207,7 +218,7 @@ def cmd_witness(args, spec: SystemSpec) -> int:
         **vars(args), eps=float(args.epsilon), sampling=sampling,
         kappa_param=parse_scalar(args.kappa) if args.kappa else Fraction(1, 5))
     try:
-        rep = build(spec, run)
+        rep = build(witness, spec, run)
     except (HypothesisUnavailable, StrategyInfeasible,
             NotFoundWithinHorizon) as exc:
         print(f"witness unavailable: {exc}")
@@ -225,6 +236,11 @@ def cmd_witness(args, spec: SystemSpec) -> int:
 
 
 def cmd_orbit(args, spec: SystemSpec) -> int:
+    if spec.kind == SHIFT:
+        print(f"orbit drives {ODOMETER} or {TRANSLATION} specs, "
+              f"not {spec.kind}", file=sys.stderr)
+        return 2
+    from .functions import orbit_trace
     f_sym = [int(x) for x in args.f.split(",")]
     g_sym = [int(x) for x in args.g.split(",")]
     depth = max(args.depth, len(f_sym), len(g_sym))
@@ -245,6 +261,7 @@ def cmd_orbit(args, spec: SystemSpec) -> int:
 
 
 def cmd_norms(args, spec: SystemSpec) -> int:
+    from . import maps
     entry = gallery.entry_for(spec)
     closed = entry.bound_verdict(spec) if entry and entry.bound_verdict else None
     bound = maps.boundedness(spec, args.horizon, closed_form=closed)
@@ -267,6 +284,7 @@ def cmd_gallery_list(args) -> int:
 
 def verify_gallery() -> dict:
     """Run the registered expectation suite over every gallery entry."""
+    from . import criteria
     results = {}
     ok = True
     for gid, entry in gallery.GALLERY.items():
@@ -349,9 +367,9 @@ def build_parser() -> argparse.ArgumentParser:
                 "epsilon", "kappa")
     p.add_argument("--name", required=True, choices=list(WITNESSES),
                    metavar="NAME")
-    p.add_argument("--seed", type=int, default=witness.DEFAULT_SEED)
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--cap", type=int, default=witness.EXHAUSTIVE_CELL_CAP)
+    p.add_argument("--cap", type=int, default=None)
     p.add_argument("--iterate", type=int, default=None)
     p = command("orbit", cmd_orbit, "orbit trace of a cylinder indicator",
                 "epsilon", "horizon")

@@ -34,6 +34,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .errors import CapExceeded, OdolabError, UnknownTheorem
+from .gallery import SATISFIED_CF, VIOLATED, closed_form_verdict
 from .scalars import Scalar, format_scalar
 from .space import SHIFT, SystemSpec
 
@@ -438,8 +439,6 @@ def odometer_row(table: CriteriaTable, i: int, kappa_param=None) -> None:
 # ---------------------------------------------------------------------------
 
 SATISFIED = "satisfied-up-to-horizon"
-SATISFIED_CF = "satisfied-closed-form"
-VIOLATED = "violated"
 INCONCLUSIVE = "inconclusive"
 
 EVAL_NEAR_ONE = 0.02     # "looks like 1 at the horizon" slack for numeric mode
@@ -495,10 +494,10 @@ def evaluate(spec: SystemSpec, criterion: str, horizon: int = 50,
         raise UnknownTheorem(f"no rule registered for {criterion!r}")
     params = dict(params or {})
     if mode != "numeric":
-        from .gallery import closed_form_verdict
         cf = closed_form_verdict(spec, criterion, params)
         if cf is not None:
-            return cf
+            status, evidence = cf
+            return Verdict(criterion, status, evidence, params, "closed-form")
     try:
         return _RULES[criterion](spec, horizon, params)
     except OdolabError as exc:

@@ -1,4 +1,4 @@
-"""Built-in gallery of systems, parameter solvers and closed-form verdicts.
+"""Built-in gallery of systems and their closed-form verdicts.
 
 Every entry fixes concrete defaults for the choices its construction leaves
 free (index subsequences, growth rates of the ramp parameters, and so on);
@@ -10,13 +10,10 @@ through which a limit statement earns a bare "satisfied"/"violated" status.
 """
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .criteria import SATISFIED_CF, VIOLATED, Verdict
-from .errors import BracketFailure
 from .scalars import format_scalar, parse_scalar
 from .space import (AlphabetRule, BinaryHalfPlusMeasure, BinaryRatioMeasure,
                     BlocksOfThreeMeasure, GeometricSolvedMeasure,
@@ -24,38 +21,9 @@ from .space import (AlphabetRule, BinaryHalfPlusMeasure, BinaryRatioMeasure,
                     SplitGeometricMeasure, SystemSpec, UniformMeasure)
 
 
-# ---------------------------------------------------------------------------
-# parameter solvers
-# ---------------------------------------------------------------------------
-
-def solve_geometric_ratio(i: int, m: int, tol: float = 1e-12) -> float:
-    """Root of sum_{j<m} c^j = (i+1)/i inside ((1/(i+1), 1/i]), by bisection.
-
-    The bracket always encloses the root: the full geometric series at the
-    left endpoint undershoots the target and the two-term lower bound at the
-    right endpoint overshoots it.
-    """
-    if i < 1 or m < 2:
-        raise ValueError("need i >= 1 and m >= 2")
-    target = (i + 1) / i
-
-    def f(c: float) -> float:
-        return math.fsum(c ** j for j in range(m)) - target
-
-    lo, hi = 1.0 / (i + 1), 1.0 / i
-    if f(hi) < -tol:
-        raise BracketFailure(f"no sign change in the bracket for i={i}, m={m}")
-    # run to machine precision (well inside any requested tolerance) so that
-    # downstream normalization errors stay far below the float backend's 1e-12
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if hi <= lo or hi - lo <= 1e-16 * hi:
-            break
-        if f(mid) < 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+# the two statuses that only a registered closed form earns
+SATISFIED_CF = "satisfied-closed-form"
+VIOLATED = "violated"
 
 
 # ---------------------------------------------------------------------------
@@ -418,13 +386,8 @@ def entry_for(spec: SystemSpec) -> Optional[GalleryEntry]:
 
 
 def closed_form_verdict(spec: SystemSpec, criterion: str, params: dict):
-    """Registered true verdict for (gallery spec, criterion), if any."""
+    """Registered true (status, evidence) for (gallery spec, criterion), if any."""
     entry = entry_for(spec)
     if entry is None or criterion not in entry.closed_forms:
         return None
-    result = entry.closed_forms[criterion](spec, params)
-    if result is None:
-        return None
-    status, evidence = result
-    return Verdict(criterion=criterion, status=status, mode="closed-form",
-                   evidence=evidence, params=params)
+    return entry.closed_forms[criterion](spec, params)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
-from .errors import CapExceeded
+from .errors import BracketFailure, CapExceeded
 from .scalars import (FLOAT_TOL, Scalar, integer_view, is_exact, parse_scalar,
                       scalar_sum)
 
@@ -364,6 +364,36 @@ class SplitGeometricMeasure(MeasureFamily):
         return tuple(left + right)
 
 
+def solve_geometric_ratio(i: int, m: int, tol: float = 1e-12) -> float:
+    """Root of sum_{j<m} c^j = (i+1)/i inside ((1/(i+1), 1/i]), by bisection.
+
+    The bracket always encloses the root: the full geometric series at the
+    left endpoint undershoots the target and the two-term lower bound at the
+    right endpoint overshoots it.
+    """
+    if i < 1 or m < 2:
+        raise ValueError("need i >= 1 and m >= 2")
+    target = (i + 1) / i
+
+    def f(c: float) -> float:
+        return math.fsum(c ** j for j in range(m)) - target
+
+    lo, hi = 1.0 / (i + 1), 1.0 / i
+    if f(hi) < -tol:
+        raise BracketFailure(f"no sign change in the bracket for i={i}, m={m}")
+    # run to machine precision (well inside any requested tolerance) so that
+    # downstream normalization errors stay far below the float backend's 1e-12
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break       # lo and hi are adjacent floats: every later mid is this
+        if f(mid) < 0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 class GeometricSolvedMeasure(MeasureFamily):
     """mu_i(j) = (i/(i+1)) c_i^j with c_i the root of sum_{j<m} c^j = (i+1)/i.
 
@@ -378,7 +408,6 @@ class GeometricSolvedMeasure(MeasureFamily):
         return "float"
 
     def ratio(self, i: int, m: int) -> float:
-        from .gallery import solve_geometric_ratio
         return solve_geometric_ratio(i, m)
 
     def weights(self, i, m):

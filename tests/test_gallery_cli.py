@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+import types
 from fractions import Fraction
 
 import dataclasses
@@ -11,10 +12,10 @@ import dataclasses
 import pytest
 
 import odolab
-from odolab import gallery
+from odolab import gallery, space
 from odolab.cli import main, verify_gallery
-from odolab.gallery import (GALLERY, get_spec, list_gallery,
-                            solve_geometric_ratio)
+from odolab.gallery import GALLERY, get_spec, list_gallery
+from odolab.space import solve_geometric_ratio
 
 
 # ---------------------------------------------------------------------------
@@ -33,6 +34,44 @@ def test_geometric_ratio_brackets():
             assert 1.0 / (i + 1) < c <= 1.0 / i + 1e-12
             # it really solves the equation
             assert abs(math.fsum(c ** j for j in range(m)) - (i + 1) / i) < 1e-9
+
+
+def _bisect_200_steps(i, m):
+    """The bisection without its stall exit: it runs all 200 steps."""
+    target = (i + 1) / i
+
+    def f(c):
+        return math.fsum(c ** j for j in range(m)) - target
+
+    lo, hi = 1.0 / (i + 1), 1.0 / i
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if hi <= lo or hi - lo <= 1e-16 * hi:
+            break
+        if f(mid) < 0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def test_geometric_ratio_stall_exit_matches_the_200_step_bisection():
+    for i in (1, 2, 3, 7, 40, 999, 10 ** 4, 10 ** 11):
+        for m in (2, 3, 4, 9, 39):
+            assert (solve_geometric_ratio(i, m).hex()
+                    == _bisect_200_steps(i, m).hex()), (i, m)
+
+
+def test_geometric_ratio_stops_when_the_bracket_stalls(monkeypatch):
+    calls = []
+
+    def fsum(terms):
+        calls.append(1)
+        return math.fsum(terms)
+
+    monkeypatch.setattr(space, "math", types.SimpleNamespace(fsum=fsum))
+    solve_geometric_ratio(1000, 3)
+    assert len(calls) < 80       # one per bisection step; 200 without the exit
 
 
 # ---------------------------------------------------------------------------
@@ -275,16 +314,22 @@ def test_cli_src_stops_at_the_scan_budget(gid, tmp_path, capsys):
 
 
 STARTUP_PROBE = """
-import sys
+import json, sys
 from odolab.cli import load_spec, main
 from odolab.gallery import list_gallery
+
+def loaded(package):
+    return sorted(m for m in sys.modules if m.split(".")[0] == package)
+
 for gid, _ in list_gallery():
     load_spec(gid)
+specs_built = loaded("odolab")
 out = sys.argv[1]
 assert main(["classify", "trans-hc", "--out", out]) == 0
 assert main(["sequences", "binary-alpha(2)", "--horizon", "50",
              "--out", out]) == 0
-print(sorted(m for m in sys.modules if m.split(".")[0] == "numpy")[:3])
+print(json.dumps({"specs_built": specs_built, "commands_run": loaded("odolab"),
+                  "numpy": loaded("numpy")[:3]}))
 """
 
 
@@ -295,7 +340,13 @@ def test_cli_exact_commands_do_not_import_numpy(tmp_path):
     proc = subprocess.run([sys.executable, "-c", STARTUP_PROBE, str(tmp_path)],
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[]"
+    doc = json.loads(proc.stdout.splitlines()[-1])
+    # building specs loads only the layers beneath the gallery
+    assert doc["specs_built"] == ["odolab", "odolab.cli", "odolab.errors",
+                                  "odolab.gallery", "odolab.scalars",
+                                  "odolab.space"]
+    assert not {"odolab.functions", "odolab.witness"} & set(doc["commands_run"])
+    assert doc["numpy"] == []
 
 
 def test_cli_witness_fhc(tmp_path):
@@ -366,6 +417,15 @@ def test_cli_orbit(tmp_path):
     rows = (tmp_path / "orbit-same-measure_1_2_1_2_.tsv").read_text().splitlines()
     visited = [r.split("\t")[2] for r in rows[1:]]
     assert visited == ["1", "0"] * 5
+
+
+@pytest.mark.parametrize("gid", ["shift-z", "shift-zplus"])
+def test_cli_orbit_on_a_weighted_shift_exits_two(gid, tmp_path, capsys):
+    assert main(["orbit", gid, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        "orbit drives odometer or diagonal-translation specs, "
+        "not weighted-shift\n")
+    assert not list(tmp_path.iterdir())
 
 
 def test_cli_norms(tmp_path):
