@@ -13,8 +13,9 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .maps import InducedBijection
-from .scalars import Scalar, format_scalar, integer_view, is_exact, scalar_sum
-from .space import SimpleFunction, SystemSpec, TruncatedSpace, build_truncation
+from .scalars import Scalar, format_scalar, integer_view, is_exact
+from .space import (SimpleFunction, SystemSpec, TruncatedSpace,
+                    build_truncation, float_quotients)
 
 
 def apply_composition(spec: SystemSpec, f: SimpleFunction, n: int = 1) -> SimpleFunction:
@@ -34,70 +35,66 @@ def apply_composition(spec: SystemSpec, f: SimpleFunction, n: int = 1) -> Simple
     return SimpleFunction(spec=spec, depth=f.depth, values=tuple(pulled))
 
 
-def _integer_values(values) -> Optional[tuple]:
-    """integer_view of the values with the numerators as an array.
-
-    int64 when the numerators stay below 2**62 in size, so that differences
-    of two such arrays fit; Python ints otherwise.
+def _scaled_values(values) -> tuple:
+    """(nums, scale) with v = nums / scale: exact values as integer_view's
+    numerators, int64 when they stay below 2**62 in size, so that differences
+    of two such arrays fit, Python ints otherwise; values that include a
+    float as a float64 array of float(v), with scale None.
     """
+    import numpy as np
     view = integer_view(values)
     if view is None:
-        return None
-    import numpy as np
+        return np.array([float(v) for v in values]), None
     nums, den = view
     small = max(map(abs, nums)) < 1 << 62
     return np.array(nums, dtype=np.int64 if small else object), den
 
 
-def _lp_pow_integer(tr: TruncatedSpace, nums: np.ndarray, p: int) -> int:
-    """sum_c |nums_c|^p * (measure numerator of c), on an exact truncation.
+def _lp_pow(tr: TruncatedSpace, nums, scale: Optional[int], p: Scalar) -> Scalar:
+    """sum_c |v_c|^p mu(c) over v = nums / scale (nums when scale is None).
 
-    Runs in int64 when max|nums|^p times the measure denominator stays below
-    2**63 (the measure numerators sum to that denominator), else on Python
-    ints.
+    Exact values and measures at an integer p: one integer dot (int64 while
+    max|nums|^p times the measure denominator is below 2**63), a Fraction.
+    Otherwise float(|v|^p), or |float(v)|^p at a non-integer p, once per
+    distinct |v| with Python's `**`, times the float64 cell measures, summed
+    by math.fsum where v != 0.  An empty support is Fraction(0).
     """
     import numpy as np
     measures, den = tr.measure_vector()
-    top = int(np.max(np.abs(nums)))
-    small = measures.dtype == np.int64 and top ** p * den < 1 << 63
-    dtype = np.int64 if small else object
-    nums, measures = nums.astype(dtype), measures.astype(dtype)
-    return int(np.dot(np.abs(nums) ** p, measures))
-
-
-def _lp_pow(tr: TruncatedSpace, values, p: int) -> Scalar:
-    """sum_c |v_c|^p mu(c): exact on exact values and measures, else fsum."""
-    den = tr.measure_vector()[1]
-    scaled = _integer_values(values) if den is not None else None
-    if scaled is None:
-        return scalar_sum(abs(v) ** p * tr.cell_measure(c)
-                          for c, v in enumerate(values) if v != 0)
-    nums, scale = scaled
-    return Fraction(_lp_pow_integer(tr, nums, p), scale ** p * den)
-
-
-def _lp_float(tr: TruncatedSpace, values, pf: float) -> float:
-    """Float enclosure of the L_p norm at a non-integer p."""
-    total = math.fsum(abs(float(v)) ** pf * float(tr.cell_measure(c))
-                      for c, v in enumerate(values) if v != 0)
-    return total ** (1.0 / pf)
+    pf = float(p)
+    ip = int(pf) if pf == int(pf) else None
+    if scale is not None and den is not None and ip is not None:
+        top = int(np.max(np.abs(nums)))
+        small = measures.dtype == np.int64 and top ** ip * den < 1 << 63
+        dtype = np.int64 if small else object
+        dot = np.dot(np.abs(nums.astype(dtype)) ** ip, measures.astype(dtype))
+        return Fraction(int(dot), scale ** ip * den)
+    support = nums != 0
+    if not support.any():
+        return Fraction(0)
+    distinct, where = np.unique(np.abs(nums[support]), return_inverse=True)
+    s = scale or 1
+    powers = [(v / s) ** pf if ip is None else v ** ip / s ** ip
+              for v in distinct.tolist()]
+    if den is not None:
+        measures = float_quotients(measures, den)
+    return math.fsum((np.array(powers)[where] * measures[support]).tolist())
 
 
 def lp_norm_pow(spec: SystemSpec, f: SimpleFunction, p: int = 1) -> Scalar:
     """The exact p-th power of the L_p norm (integer p >= 1)."""
     if p < 1 or int(p) != p:
         raise ValueError("lp_norm_pow needs an integer p >= 1")
-    return _lp_pow(build_truncation(spec, f.depth), f.values, int(p))
+    return _lp_pow(build_truncation(spec, f.depth), *_scaled_values(f.values),
+                   int(p))
 
 
 def lp_norm(spec: SystemSpec, f: SimpleFunction, p: Scalar = 1) -> float:
     """Float enclosure of the L_p norm, p in [1, infinity) (rational p ok)."""
-    pf = float(p)
-    if pf < 1:
+    if float(p) < 1:
         raise ValueError("p must be >= 1")
-    if pf == int(pf):
-        return float(lp_norm_pow(spec, f, int(pf))) ** (1.0 / pf)
-    return _lp_float(build_truncation(spec, f.depth), f.values, pf)
+    tr = build_truncation(spec, f.depth)
+    return float(_lp_pow(tr, *_scaled_values(f.values), p)) ** (1.0 / float(p))
 
 
 def lp_distance(spec: SystemSpec, f: SimpleFunction, g: SimpleFunction,
@@ -161,52 +158,29 @@ def orbit_trace(spec: SystemSpec, f: SimpleFunction, g: SimpleFunction,
 
     The eps-ball uses strict inequality.  Densities are #(visits in [1, m])/m;
     the tail diagnostics are their extremes over the second half of [1, H].
-    The truncation is built once.  On exact values and measures the iterates
-    are pulled as integer numerators by index arithmetic, so no Fraction is
-    built per cell.
+    f and g become one array over a common scale; each iterate pulls f's
+    array back by index arithmetic and sums its difference from g in _lp_pow.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     f._check_compatible(g)
     tr = build_truncation(spec, f.depth)
-    exact_p = float(p) == int(float(p))
-    ip = int(float(p))
-    measure_den = tr.measure_vector()[1]
-    # f and g over one common scale: each distance is an integer sum over den
-    scaled = (_integer_values((*f.values, *g.values))
-              if exact_p and measure_den is not None else None)
-    if scaled is not None:
-        nums, scale = scaled
-        f_nums = SimpleFunction(spec, f.depth, nums[:len(f.values)])
-        g_nums = nums[len(f.values):]
-        den = scale ** ip * measure_den
-    distances = []
-    visit_set = []
+    pf = float(p)
+    nums, scale = _scaled_values((*f.values, *g.values))
+    f_nums = SimpleFunction(spec, f.depth, nums[:len(f.values)])
+    g_nums = nums[len(f.values):]
+    distances, visit_set, running = [], [], []
     for n in range(1, horizon + 1):
-        if scaled is not None:
-            pulled = apply_composition(spec, f_nums, n).values
-            dpow = Fraction(_lp_pow_integer(tr, pulled - g_nums, ip), den)
-        else:
-            diff = apply_composition(spec, f, n) - g
-            dpow = _lp_pow(tr, diff.values, ip) if exact_p else None
-        if exact_p:
-            dist = float(dpow) ** (1.0 / float(p))
-            inside = (dpow < Fraction(epsilon) ** ip
-                      if spec.backend == "rational" and is_exact(dpow)
-                      else dist < epsilon)
-        else:
-            dist = _lp_float(tr, diff.values, float(p))
-            inside = dist < epsilon
+        pulled = apply_composition(spec, f_nums, n).values
+        dpow = _lp_pow(tr, pulled - g_nums, scale, p)
+        dist = float(dpow) ** (1.0 / pf)
+        inside = (dpow < Fraction(epsilon) ** int(pf)
+                  if spec.backend == "rational" and is_exact(dpow)
+                  and pf == int(pf) else dist < epsilon)
         distances.append(dist)
         if inside:
             visit_set.append(n)
-    running = []
-    count = 0
-    visits = set(visit_set)
-    for m in range(1, horizon + 1):
-        if m in visits:
-            count += 1
-        running.append(Fraction(count, m))
+        running.append(Fraction(len(visit_set), n))
     tail = running[horizon // 2:]
     return OrbitTrace(spec=spec, epsilon=epsilon, p=p, horizon=horizon,
                       distances=distances, visit_set=visit_set,

@@ -229,6 +229,9 @@ class SameMeasure(MeasureFamily):
         super().__init__(params)
         self._nu = tuple(parse_scalar(t) if isinstance(t, str) else Fraction(t)
                          for t in params["weights"])
+        # a cell-measure vector is exact or float64 as a whole, so a row is too
+        if len({is_exact(w) for w in self._nu}) > 1:
+            raise ValueError("same-measure weights mix p/q and decimal entries")
 
     def weights(self, i, m):
         if m != len(self._nu):
@@ -529,7 +532,7 @@ class RampMeasure(MeasureFamily):
     @property
     def backend(self):
         # Always "rational", although ramps longer than GEOM_EXACT_CAP
-        # evaluate in floats; ROADMAP item 3 makes this tag honest.
+        # evaluate in floats; ROADMAP open item 4 makes this tag honest.
         return "rational"
 
     # -- accessors built on the piece list -----------------------------------
@@ -958,20 +961,27 @@ class TruncatedSpace:
 
         On exact specs the values are integer numerators over den, the
         product of the per-coordinate denominators: int64 when den < 2**63,
-        Python ints otherwise.  With a float coordinate they are the scalar
-        cell measures themselves and den is None.  Built as an outer product
-        coordinate by coordinate, one multiplication per entry.
+        Python ints otherwise.  With a float coordinate they are float64 and
+        den is None: the exact prefix is rounded once per cell and later rows
+        multiply in as float(w), which is what Fraction * float computes, so
+        these are the per-cell weight products.  One outer product per row.
         """
         if self._vector is None:
             import numpy as np
-            rows, exact = self.spec.weight_rows(self.depth)
-            den = math.prod(d for _, d in rows)
-            dtype = np.int64 if exact and den < 1 << 63 else object
-            values = np.ones(1, dtype=dtype)
-            for row, _ in rows:
-                values = np.multiply.outer(np.array(row, dtype=dtype),
-                                           values).ravel()
-            self._vector = (values, den if exact else None)
+            den, values = 1, np.ones(1, dtype=np.int64)
+            for i in range(1, self.depth + 1):
+                ints = None if den is None else self.spec.integer_weights(i)
+                if ints is None:
+                    if den is not None:
+                        values, den = float_quotients(values, den), None
+                    row = np.array([float(w) for w in self.spec.mu(i)])
+                else:
+                    den *= ints[1]
+                    if values.dtype == np.int64 and den >= 1 << 63:
+                        values = values.astype(object)
+                    row = np.array(ints[0], dtype=values.dtype)
+                values = np.multiply.outer(row, values).ravel()
+            self._vector = (values, den)
         return self._vector
 
     def measure_of(self, cells) -> Scalar:
@@ -985,14 +995,22 @@ class TruncatedSpace:
 
     def cell_measure(self, cell: int) -> Scalar:
         values, den = self.measure_vector()
-        return values[cell] if den is None else Fraction(int(values[cell]), den)
+        v = values[cell]
+        return float(v) if den is None else Fraction(int(v), den)
 
     def all_measures(self) -> list:
         """Measures of all cells in index order (memory ~ cell_count)."""
         values, den = self.measure_vector()
-        if den is None:
-            return list(values)
-        return [Fraction(v, den) for v in values.tolist()]
+        out = values.tolist()
+        return out if den is None else [Fraction(v, den) for v in out]
+
+
+def float_quotients(nums: np.ndarray, den: int) -> np.ndarray:
+    """n / den for 0 <= n <= den in float64, rounded as float(Fraction) is."""
+    import numpy as np
+    if nums.dtype == np.int64 and den < 1 << 53:
+        return nums / den
+    return np.array([n / den for n in nums.tolist()])
 
 
 def build_truncation(spec: SystemSpec, depth: int, cap: Optional[int] = None) -> TruncatedSpace:
@@ -1098,11 +1116,12 @@ def set_measure(spec: SystemSpec, S: DepthSet) -> Scalar:
 
 @dataclass
 class SimpleFunction:
-    """A function determined by the first `depth` coordinates (one value per cell)."""
+    """A function of the first `depth` coordinates, one value per cell: a tuple
+    of scalars, or in `apply_composition` and `orbit_trace` a NumPy array."""
 
     spec: SystemSpec
     depth: int
-    values: tuple
+    values: tuple | np.ndarray
 
     @staticmethod
     def indicator(S: DepthSet, cap: Optional[int] = None) -> "SimpleFunction":

@@ -181,7 +181,10 @@ def test_cli_bad_spec_exits_two(tmp_path):
     ("same-measure(1/2,-1/2,1)", "mu_1 has a nonpositive weight"),
     ("same-measure(1)", "alphabet rule produced m_1=1 < 2"),
     ("binary-alpha(-1)", "alpha must be positive, not -1"),
-], ids=["weights-sum", "negative-weight", "one-symbol", "negative-alpha"])
+    ("same-measure(1/2,0.5)",
+     "same-measure weights mix p/q and decimal entries"),
+], ids=["weights-sum", "negative-weight", "one-symbol", "negative-alpha",
+        "mixed-row"])
 def test_cli_bad_gallery_parameters_exit_two(tmp_path, capsys, gid, reason):
     assert main(["classify", gid, "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err == f"bad spec: {reason}\n"
@@ -199,7 +202,9 @@ def _product_config(kind, m, weights):
     (_product_config("odometer", 2, ["1/2", "1/3"]), "mu_1 sums to 5/6 != 1"),
     (_product_config("odometer", 3, ["1/2", "1/2"]),
      "alphabet size does not match the fixed vector"),
-], ids=["unknown-kind", "weights-sum", "short-vector"])
+    (_product_config("odometer", 2, ["0.5", "1/2"]),
+     "same-measure weights mix p/q and decimal entries"),
+], ids=["unknown-kind", "weights-sum", "short-vector", "mixed-row"])
 def test_cli_malformed_config_exits_two(tmp_path, capsys, cfg, reason):
     path = tmp_path / "system.json"
     path.write_text(json.dumps(cfg))
@@ -207,6 +212,12 @@ def test_cli_malformed_config_exits_two(tmp_path, capsys, cfg, reason):
                  "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err == f"bad spec: {reason}\n"
     assert not list(tmp_path.glob("sequences-*"))
+
+
+def test_cli_all_decimal_weight_row_runs(tmp_path):
+    # a row is all p/q (test_cli_orbit) or all decimal; only a mix exits 2
+    assert main(["orbit", "same-measure(0.5,0.5)", "--depth", "1",
+                 "--horizon", "4", "--out", str(tmp_path)]) == 0
 
 
 def test_cli_backend_mismatch_exits_two(tmp_path):
@@ -417,6 +428,34 @@ def test_cli_orbit(tmp_path):
     rows = (tmp_path / "orbit-same-measure_1_2_1_2_.tsv").read_text().splitlines()
     visited = [r.split("\t")[2] for r in rows[1:]]
     assert visited == ["1", "0"] * 5
+
+
+TRANS_RIGID_ORBIT = b"""n\tdistance\tvisited\trunning_density
+1\t0.499999999999997\t0\t0
+2\t0.499999999999997\t0\t0
+3\t0\t1\t1/3
+4\t0.499999999999997\t0\t1/4
+5\t0.499999999999997\t0\t1/5
+6\t0.499999999999997\t0\t1/6
+7\t0\t1\t2/7
+8\t0.499999999999997\t0\t1/4
+"""
+
+
+def test_cli_orbit_trans_rigid_ends(tmp_path):
+    # 4 x 64 x 4096 = 2^20 cells with a float coordinate at i = 3; the bytes
+    # are the output of the per-cell Fraction definition of each distance
+    src = os.path.dirname(os.path.dirname(odolab.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "odolab.cli", "orbit",
+                           "trans-rigid", "--depth", "3", "--horizon", "8",
+                           "--out", str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert time.perf_counter() - start < 10
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == "visits: 2 / 8; period of f: 4"
+    assert (tmp_path / "orbit-trans-rigid.tsv").read_bytes() == TRANS_RIGID_ORBIT
 
 
 @pytest.mark.parametrize("gid", ["shift-z", "shift-zplus"])

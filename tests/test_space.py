@@ -382,6 +382,19 @@ def test_measure_vector_matches_cell_products(data):
     assert set_measure(spec, S) == want
 
 
+@pytest.mark.parametrize("q", [(1 << 30) - 35, (1 << 40) - 87],
+                         ids=["int64-past-2^53", "python-ints"])
+def test_float_row_after_a_wide_exact_prefix(q):
+    # the prefix denominator q^2 is past 2**53, where a float64 division of
+    # the numerators would round twice; each cell must still be rounded once
+    import numpy as np
+    rng = np.random.default_rng(0)
+    spec = listed_spec("odometer", random_listed_vectors(rng, 3, {3}, q=q))
+    tr = build_truncation(spec, 3)
+    assert tr.all_measures() == [cell_product(spec, tr, c)
+                                 for c in range(tr.cell_count)]
+
+
 def test_set_measure_examples():
     spec = uniform_binary()
     assert set_measure(spec, DepthSet.product_form(spec, [{0, 1}, {0}])) == Fraction(1, 2)
