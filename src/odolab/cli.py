@@ -82,9 +82,7 @@ def cmd_classify(args, spec: SystemSpec) -> int:
     if not failed:
         names = {ODOMETER: ODOMETER_CRITERIA, TRANSLATION: TRANSLATION_CRITERIA,
                  SHIFT: SHIFT_CRITERIA}[spec.kind]
-        params = {}
-        if args.kappa:
-            params["kappa"] = parse_scalar(args.kappa)
+        params = {"kappa": args.kappa} if args.kappa else {}
         for name in names:
             v = criteria.evaluate(spec, name, horizon=args.horizon,
                                   params=params)
@@ -108,7 +106,7 @@ def cmd_classify(args, spec: SystemSpec) -> int:
 def cmd_sequences(args, spec: SystemSpec) -> int:
     from . import criteria
     out_dir = Path(args.out)
-    kappa_param = parse_scalar(args.kappa) if args.kappa else Fraction(1, 5)
+    kappa_param = args.kappa or Fraction(1, 5)
     if spec.kind == ODOMETER:
         table = criteria.CriteriaTable(spec=spec)
         for i in range(1, args.horizon + 1):
@@ -216,7 +214,7 @@ def cmd_witness(args, spec: SystemSpec) -> int:
         sampling["trials"] = args.trials
     run = argparse.Namespace(
         **vars(args), eps=float(args.epsilon), sampling=sampling,
-        kappa_param=parse_scalar(args.kappa) if args.kappa else Fraction(1, 5))
+        kappa_param=args.kappa or Fraction(1, 5))
     try:
         rep = build(witness, spec, run)
     except (HypothesisUnavailable, StrategyInfeasible,
@@ -331,15 +329,39 @@ def cmd_verify_gallery(args) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+def checked(parse, ok, what: str):
+    """An argparse type: parse(text), a usage error unless ok(value)."""
+    def convert(text: str):
+        try:
+            value = parse(text)
+            if ok(value):
+                return value
+        except (ValueError, ZeroDivisionError):
+            pass
+        raise argparse.ArgumentTypeError(f"{text!r} is not {what}")
+    return convert
+
+
+positive_int = checked(int, lambda v: v >= 1, "an integer >= 1")
+
+
 SHARED_FLAGS = {
-    "horizon": {"type": int, "default": 50},
+    "horizon": {"type": positive_int, "default": 50},
     "epsilon": {"default": "0.1"},
-    "kappa": {"default": None},
+    "kappa": {"type": checked(parse_scalar, lambda v: 0 < v < 1,
+                              "p/q or a decimal in (0, 1)"), "default": None},
 }
 
 
+class Parser(argparse.ArgumentParser):
+    """A usage error exits 2 with one line on stderr."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    top = Parser(
         prog="odolab",
         description="exact experiments with composition-operator dynamics "
                     "on product probability spaces")
@@ -362,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
             "boundedness plus every applicable verdict", "horizon", "kappa")
     p = command("sequences", cmd_sequences, "criterion tables as TSV",
                 "horizon", "kappa")
-    p.add_argument("--index-horizon", type=int, default=8)
+    p.add_argument("--index-horizon", type=positive_int, default=8)
     p = command("witness", cmd_witness, "run a named witness construction",
                 "epsilon", "kappa")
     p.add_argument("--name", required=True, choices=list(WITNESSES),

@@ -7,7 +7,8 @@ Each quantity comes with the optimizer the table tags it with:
   kappa      -- shift-disjoint sets under plain integer addition; the conflict
                 graph is a union of paths, solved by take/skip DP ("path-dp");
   alpha/beta -- shift-disjoint sets mod m; the graph is a union of cycles,
-                solved by the two-pass cycle DP ("cycle-dp");
+                solved by the two-pass cycle DP ("cycle-dp"); beta on exact
+                rows skips the residues an integer bound rules out;
   gamma      -- best split level; exhaustive (vectorized over bitmasks) up to
                 m = 16 ("brute-force"), sorted-weight prefix sweeps beyond
                 ("search-lower-bound");
@@ -19,8 +20,10 @@ Each quantity comes with the optimizer the table tags it with:
 On exact coordinates every optimizer runs on the memoised integer numerators
 over one denominator q and builds one Fraction at the end; the DPs only add
 and compare, and scaling by q > 0 keeps every order and tie.  Float
-coordinates run the same bodies on floats.  Each super-linear scan estimates
-its DP steps before it starts and raises CapExceeded past WORK_BUDGET.
+coordinates run the same bodies on floats.  Values come from value-only
+passes; only the *_witness functions build chosen sets.  Each super-linear
+scan estimates its DP steps before it starts and raises CapExceeded past
+WORK_BUDGET.
 
 Limit statements are never decided numerically: numeric mode reports
 "satisfied-up-to-horizon" with an evidence trail, and true verdicts come only
@@ -99,29 +102,35 @@ def theta_witness(spec: SystemSpec, i: int, shift: Optional[int] = None):
 # path / cycle max-weight independent sets
 # ---------------------------------------------------------------------------
 
-def _mwis_path(weights: Sequence[Scalar]) -> tuple:
-    """(max weight, chosen indices) for an independent set on a path.
+def _path_value(weights: Sequence[Scalar]) -> Scalar:
+    """_mwis_path's value alone, from the same adds and compares: a and b
+    are the optima of the prefixes ending two steps and one step back."""
+    a = b = 0
+    for x in weights:
+        c = a + x
+        a = b
+        if c > b:
+            b = c
+    return b
 
-    A chosen set is a linked chain (last index, rest) shared between the
-    take and skip states, so each step is O(1); it is unrolled once at the end.
-    """
-    excl_v: Scalar = 0
-    excl_s = None
-    incl_v: Optional[Scalar] = None
-    incl_s = None
-    for idx, w in enumerate(weights):
-        new_incl_v = excl_v + w
-        new_incl_s = (idx, excl_s)
-        if incl_v is not None and incl_v > excl_v:
-            excl_v, excl_s = incl_v, incl_s
-        incl_v, incl_s = new_incl_v, new_incl_s
-    if incl_v is not None and incl_v > excl_v:
-        excl_v, excl_s = incl_v, incl_s
-    picked = []
-    while excl_s is not None:
-        idx, excl_s = excl_s
-        picked.append(idx)
-    return excl_v, tuple(reversed(picked))
+
+def _mwis_path(weights: Sequence[Scalar]) -> tuple:
+    """(max weight, chosen indices) for an independent set on a path; one
+    took-flag per step, walked back at the end."""
+    a = b = 0
+    took = []
+    for x in weights:
+        c = a + x
+        a = b
+        took.append(c > b)
+        if took[-1]:
+            b = c
+    picked, idx = [], len(took) - 1
+    while idx >= 0:
+        if took[idx]:
+            picked.append(idx)
+        idx -= 1 + took[idx]
+    return b, tuple(reversed(picked))
 
 
 def _solve_chains(dp, w: Sequence[Scalar], chains) -> tuple:
@@ -144,12 +153,9 @@ def disjoint_shift_set_zplus(spec: SystemSpec, i: int, j: int) -> tuple:
     if not 1 <= j <= spec.m(i) - 1:
         raise ValueError("shift must lie in [1, m_i - 1]")
     w, q = _weights(spec, i)
-    val, D = _zplus(w, j)
+    val, D = _solve_chains(_mwis_path, w,
+                           [range(s, len(w), j) for s in range(j)])
     return _scalar(val, q), D
-
-
-def _zplus(w: Sequence[Scalar], j: int) -> tuple:
-    return _solve_chains(_mwis_path, w, [range(s, len(w), j) for s in range(j)])
 
 
 def kappa(spec: SystemSpec, i: int) -> Scalar:
@@ -157,7 +163,8 @@ def kappa(spec: SystemSpec, i: int) -> Scalar:
     w, q = _weights(spec, i)
     m = len(w)
     charge_work(m * (m - 1), "kappa")
-    return _scalar(min(_zplus(w, j)[0] for j in range(1, m)), q)
+    return _scalar(min(sum(_path_value(w[s::j]) for s in range(j))
+                       for j in range(1, m)), q)
 
 
 def _mwis_cycle(weights: Sequence[Scalar]) -> tuple:
@@ -169,15 +176,24 @@ def _mwis_cycle(weights: Sequence[Scalar]) -> tuple:
         return max((weights[0], (0,)), (weights[1], (1,)), key=lambda t: t[0])
     # exclude position 0, or take it and exclude its neighbours
     v1, s1 = _mwis_path(weights[1:])
-    s1 = tuple(t + 1 for t in s1)
     v2, s2 = _mwis_path(weights[2:L - 1])
-    v2 = v2 + weights[0]
-    s2 = (0,) + tuple(t + 2 for t in s2)
-    return max((v1, s1), (v2, s2), key=lambda t: t[0])
+    return max((v1, tuple(t + 1 for t in s1)),
+               (v2 + weights[0], (0,) + tuple(t + 2 for t in s2)),
+               key=lambda t: t[0])
+
+
+def _cycle_value(weights: Sequence[Scalar]) -> Scalar:
+    """_mwis_cycle's value alone, from two value-only path passes."""
+    L = len(weights)
+    if L <= 2:
+        return _mwis_cycle(weights)[0]
+    return max(_path_value(weights[1:]),
+               _path_value(weights[2:L - 1]) + weights[0])
 
 
 def alpha_shift(spec: SystemSpec, i: int, n: int) -> Scalar:
-    return alpha_shift_witness(spec, i, n)[0]
+    w, q = _weights(spec, i)
+    return _scalar(_alpha_value(w, n), q)
 
 
 def alpha_shift_witness(spec: SystemSpec, i: int, n: int) -> tuple:
@@ -198,9 +214,19 @@ def _alpha(w: Sequence[Scalar], n: int) -> tuple:
     if r == 0:
         return 0 * w[0], frozenset()
     g = math.gcd(r, m)
-    return _solve_chains(_mwis_cycle, w,
-                         [[(s + t * r) % m for t in range(m // g)]
-                          for s in range(g)])
+    cycles = [[x % m for x in range(s, s + m // g * r, r)] for s in range(g)]
+    return _solve_chains(_mwis_cycle, w, cycles)
+
+
+def _alpha_value(w: Sequence[Scalar], n: int) -> Scalar:
+    """_alpha's value alone."""
+    m = len(w)
+    r = n % m
+    if r == 0:
+        return 0 * w[0]
+    g = math.gcd(r, m)
+    return sum(_cycle_value([w[x % m] for x in range(s, s + m // g * r, r)])
+               for s in range(g))
 
 
 def beta_sup(spec: SystemSpec, i: int) -> Scalar:
@@ -208,23 +234,32 @@ def beta_sup(spec: SystemSpec, i: int) -> Scalar:
 
     Shifts r and m - r have the same conflict edges, so alpha_r = alpha_{m-r}
     and exact rows scan r <= m/2 only.  Float rows scan every residue: the
-    reversed chain order could change the last bit of a float sum.
+    reversed chain order could change the last bit of a float sum.  Exact
+    rows solve r = m/2, then r by decreasing B_r = sum_x max(w_x, w_{x+r})
+    >= 2 alpha_r (a chosen x owns the terms at x and x - r) to B_r <= 2 best.
     """
     w, q = _weights(spec, i)
     m = len(w)
     last = m // 2 if q is not None else m - 1
     charge_work(m * last, "beta_sup")
-    return _scalar(max(_alpha(w, r)[0] for r in range(1, last + 1)), q)
+    if q is None:
+        return max(_alpha_value(w, r) for r in range(1, m))
+    # a weight is the larger of at most two terms of B_r, so every B_r is at
+    # most twice the sum of the ceil(m/2) largest weights
+    best = _alpha_value(w, last)
+    if sum(sorted(w)[m // 2:]) <= best:
+        return Fraction(best, q)
+    bound = {r: sum(map(max, w, w[r:] + w[:r])) for r in range(last, 0, -1)}
+    for r in sorted(bound, key=bound.get, reverse=True):
+        if bound[r] <= 2 * best:
+            break
+        best = max(best, _alpha_value(w, r))
+    return Fraction(best, q)
 
 
 def gamma_translation(spec: SystemSpec, n: int, index_horizon: int) -> Scalar:
     """sup over i <= horizon of alpha_{i,n}; a horizon-limited lower bound."""
-    best = None
-    for i in range(1, index_horizon + 1):
-        val = alpha_shift(spec, i, n)
-        if best is None or val > best:
-            best = val
-    return best
+    return max(alpha_shift(spec, i, n) for i in range(1, index_horizon + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -586,25 +621,25 @@ def _rule_ufhc_odometer(spec, horizon, params):
                     {"found": found}, params)
 
 
-def _usable_sites(spec, idx_h, size_cap=1 << 13):
-    sites = []
+def _float_rows(spec, idx_h, size_cap=1 << 13) -> list:
+    """mu_i as float lists for i = 1, 2, ..., stopping after idx_h, at the
+    first m_i > size_cap, or at the first mu_i past its cap."""
+    rows = []
     for i in range(1, idx_h + 1):
         try:
             if spec.m(i) > size_cap:
                 break
-            spec.mu(i)
+            rows.append([float(x) for x in spec.mu(i)])
         except CapExceeded:
             break
-        sites.append(i)
-    return sites
+    return rows
 
 
 def _translation_gamma(name: str):
     """The gamma_n rule; hc and mixing read the same values, so one body."""
     def rule(spec, horizon, params):
-        sites = _usable_sites(spec, min(horizon, 12))
-        float_w = {i: [float(x) for x in spec.mu(i)] for i in sites}
-        vals = [max(_alpha(float_w[i], n)[0] for i in sites)
+        rows = _float_rows(spec, min(horizon, 12))
+        vals = [max(_alpha_value(w, n) for w in rows)
                 for n in range(1, horizon + 1)]
         sup = max(vals)
         return _numeric(name, sup >= 1 - params.get("slack", EVAL_NEAR_ONE),
@@ -614,16 +649,11 @@ def _translation_gamma(name: str):
 
 
 def _rule_hc_translation_hoeffding(spec, horizon, params):
-    sites = _usable_sites(spec, min(horizon, 40))
-    float_w = {i: [float(x) for x in spec.mu(i)] for i in sites}
+    rows = _float_rows(spec, min(horizon, 40))
     vals = {}
     for n in (1 << l for l in range(1, 8)):
-        drops = []
-        for i in sites:
-            w = float_w[i]
-            m = len(w)
-            drops.append(math.fsum(max(w[j] - w[(j + n) % m], 0.0)
-                                   for j in range(m)))
+        drops = [math.fsum(max(w[j] - w[(j + n) % len(w)], 0.0)
+                           for j in range(len(w))) for w in rows]
         vals[n] = float(_best_prefix_average(sorted(drops, reverse=True))[0])
     sup = max(vals.values())
     return _numeric("hc-translation-hoeffding", sup >= DIVERGENCE_FLOOR,

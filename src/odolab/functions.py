@@ -7,6 +7,7 @@ are exposed as float enclosures since p-th roots are irrational.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -39,15 +40,24 @@ def _scaled_values(values) -> tuple:
     """(nums, scale) with v = nums / scale: exact values as integer_view's
     numerators, int64 when they stay below 2**62 in size, so that differences
     of two such arrays fit, Python ints otherwise; values that include a
-    float as a float64 array of float(v), with scale None.
+    float as a float64 array of float(v), with scale None.  Each distinct
+    value object is converted once.
     """
     import numpy as np
-    view = integer_view(values)
+    values = tuple(values)
+    first = {}      # id of each value object -> position of its first use
+    at = np.fromiter(map(first.setdefault, map(id, values), itertools.count()),
+                     dtype=np.int64, count=len(values))
+    keys = np.fromiter(first.values(), dtype=np.int64, count=len(first))
+    distinct = [values[k] for k in keys.tolist()]
+    view = integer_view(distinct)
     if view is None:
-        return np.array([float(v) for v in values]), None
-    nums, den = view
-    small = max(map(abs, nums)) < 1 << 62
-    return np.array(nums, dtype=np.int64 if small else object), den
+        table, den = np.array([float(v) for v in distinct]), None
+    else:
+        nums, den = view
+        small = max(map(abs, nums)) < 1 << 62
+        table = np.array(nums, dtype=np.int64 if small else object)
+    return table[np.searchsorted(keys, at)], den
 
 
 def _lp_pow(tr: TruncatedSpace, nums, scale: Optional[int], p: Scalar) -> Scalar:
@@ -106,12 +116,14 @@ def period_of(spec: SystemSpec, f: SimpleFunction) -> int:
     """Least d >= 1 with C^d f = f; always divides the bijection order.
 
     Checked over the divisors of the order, so the cost is a few permutation
-    pulls rather than an iteration over every candidate d.
+    pulls rather than an iteration over every candidate d.  Values are
+    compared as _scaled_values' array; an array of values is compared as is.
     """
-    bij = InducedBijection(spec, f.depth)
-    order = bij.order()
-    for d in sorted(_divisors(order)):
-        if apply_composition(spec, f, d).values == f.values:
+    import numpy as np
+    if not isinstance(f.values, np.ndarray):
+        f = SimpleFunction(spec, f.depth, _scaled_values(f.values)[0])
+    for d in sorted(_divisors(InducedBijection(spec, f.depth).order())):
+        if np.array_equal(apply_composition(spec, f, d).values, f.values):
             return d
     raise AssertionError("no period found at the bijection order")
 
@@ -184,7 +196,8 @@ def orbit_trace(spec: SystemSpec, f: SimpleFunction, g: SimpleFunction,
     tail = running[horizon // 2:]
     return OrbitTrace(spec=spec, epsilon=epsilon, p=p, horizon=horizon,
                       distances=distances, visit_set=visit_set,
-                      running_density=running, period=period_of(spec, f),
+                      running_density=running,
+                      period=period_of(spec, f if scale is None else f_nums),
                       tail_density_low=float(min(tail)),
                       tail_density_high=float(max(tail)))
 

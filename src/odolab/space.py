@@ -1125,10 +1125,8 @@ class SimpleFunction:
 
     @staticmethod
     def indicator(S: DepthSet, cap: Optional[int] = None) -> "SimpleFunction":
-        tr = build_truncation(S.spec, S.depth, cap)
-        cells = S.to_cells(cap)
-        one, zero = Fraction(1), Fraction(0)
-        vals = tuple(one if c in cells else zero for c in range(tr.cell_count))
+        zero_one = (Fraction(0), Fraction(1))
+        vals = tuple(map(zero_one.__getitem__, S.mask(cap).tolist()))
         return SimpleFunction(spec=S.spec, depth=S.depth, values=vals)
 
     @staticmethod

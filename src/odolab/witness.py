@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .criteria import (alpha_shift_witness, charge_work,
+from .criteria import (alpha_shift, alpha_shift_witness, charge_work,
                        disjoint_shift_set_zplus, gamma_witness,
                        kappa as kappa_seq, omega, theta_witness)
 from .errors import (CapExceeded, HypothesisUnavailable,
@@ -921,12 +921,9 @@ def _single_site_witness(spec: SystemSpec, epsilon: float = 0.1,
                            params={"epsilon": epsilon, "horizon": horizon})
     for i in range(1, horizon + 1):
         m = spec.m(i)
-        best = None
-        for n in _candidate_shifts(m):
-            val, D = alpha_shift_witness(spec, i, n)
-            if best is None or val > best[0]:
-                best = (val, D, n)
-        val, D, n = best
+        # the first shift of largest value; only its set is built
+        n = max(_candidate_shifts(m), key=lambda n: alpha_shift(spec, i, n))
+        val, D = alpha_shift_witness(spec, i, n)
         if float(val) < 1 - epsilon:
             continue
         shifted = frozenset((x + n) % m for x in D)

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from odolab import gallery
-from odolab.functions import (apply_composition, exp_minus_one_gauge, lp_distance,
-                              lp_norm, lp_norm_pow, orbit_trace,
-                              orlicz_indicator_norm, period_of, power_gauge)
+from odolab.functions import (_scaled_values, apply_composition,
+                              exp_minus_one_gauge, lp_distance, lp_norm,
+                              lp_norm_pow, orbit_trace, orlicz_indicator_norm,
+                              period_of, power_gauge)
 from odolab.maps import InducedBijection, boundedness, preimage_cylinder
+from odolab.scalars import integer_view
 from odolab.space import DepthSet, SimpleFunction
 
 from conftest import listed_spec, random_listed_vectors
@@ -210,6 +212,10 @@ def test_norms_and_orbits_match_per_cell_definition(data):
     bij = InducedBijection(spec, depth)
     horizon = 6
     trace = orbit_trace(spec, f, g, epsilon=0.4, p=p, horizon=horizon)
+    # the period on the scaled array is the least d pulling f's tuple to f
+    assert trace.period == period_of(spec, f) == next(
+        d for d in range(1, bij.order() + 1)
+        if tuple(f.values[bij.forward(c, d)] for c in range(count)) == f.values)
     for n in range(1, horizon + 1):
         pulled = tuple(f.values[bij.forward(c, n)] for c in range(count))
         assert apply_composition(spec, f, n).values == pulled
@@ -245,3 +251,33 @@ def test_orlicz_indicator_norms():
         1.0 / math.log(1.0 / mu_e + 1.0))
     with pytest.raises(ValueError):
         orlicz_indicator_norm(gauge, 0.0)
+
+
+def scaled_values_per_entry(values):
+    """_scaled_values as it read before it converted each object once."""
+    import numpy as np
+    view = integer_view(values)
+    if view is None:
+        return np.array([float(v) for v in values]), None
+    nums, den = view
+    small = max(map(abs, nums)) < 1 << 62
+    return np.array(nums, dtype=np.int64 if small else object), den
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 3), st.integers(-9, 9),
+                          st.sampled_from([1, 6, 3 ** 45])),
+                min_size=1, max_size=40),
+       st.booleans())
+def test_scaled_values_match_the_per_entry_conversion(draws, with_float):
+    # shared objects (pool index > 0) and fresh equal Fractions side by side
+    pool = [None, Fraction(1, 3), Fraction(-2, 7), Fraction(5)]
+    values = [pool[k] if k else Fraction(n, den) for k, n, den in draws]
+    if with_float:
+        values[len(values) // 2] = 0.25
+    nums, scale = _scaled_values(tuple(values))
+    want, want_scale = scaled_values_per_entry(values)
+    assert scale == want_scale
+    assert nums.dtype == want.dtype
+    assert nums.tolist() == want.tolist()
+

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -214,6 +215,26 @@ def test_cli_malformed_config_exits_two(tmp_path, capsys, cfg, reason):
     assert not list(tmp_path.glob("sequences-*"))
 
 
+@pytest.mark.parametrize("argv", [
+    "sequences trans-hc --horizon 3 --index-horizon 0",
+    "sequences binary-alpha(2) --horizon 0",
+    "sequences binary-alpha(2) --horizon -3",
+    "classify trans-hc --horizon 0",
+    "orbit fhc-binary --horizon 0",
+    "norms fhc-binary --horizon 0",
+    "sequences fhc-binary --horizon 3 --kappa 2",
+    "sequences fhc-binary --horizon 3 --kappa 0.5x",
+    "witness fhc-binary --name fhc --kappa 3",
+])
+def test_cli_bad_flag_values_exit_two(argv, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split() + ["--out", str(tmp_path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and ": error: argument --" in err
+    assert not list(tmp_path.iterdir())
+
+
 def test_cli_all_decimal_weight_row_runs(tmp_path):
     # a row is all p/q (test_cli_orbit) or all decimal; only a mix exits 2
     assert main(["orbit", "same-measure(0.5,0.5)", "--depth", "1",
@@ -254,6 +275,16 @@ def _column(path, name):
     return {int(r[0]): r[col] for r in rows[1:]}
 
 
+# sha256 of both reports of `sequences trans-hc` at the default horizon, as
+# written when beta_sup still solved every residue
+SEQUENCES_TRANS_HC = {
+    "sequences-trans-hc.tsv":
+        "b3e44c78fa1c542a54d2a13586b6631c808bf2107b43a075dc6a01b220b3e989",
+    "sequences-trans-hc-shifts.tsv":
+        "b29c8b8f4eaeab7df354d2a67b2690c7f2d9735424a7143a56e1aaa382a90357",
+}
+
+
 def test_cli_sequences_stops_at_the_beta_budget(tmp_path, capsys):
     # m_i = 2^i; beta at i = 11 would need 2048 * 2047 steps on float weights
     start = time.perf_counter()
@@ -261,8 +292,11 @@ def test_cli_sequences_stops_at_the_beta_budget(tmp_path, capsys):
     assert time.perf_counter() - start < 10
     assert code == 0
     out = capsys.readouterr().out.splitlines()
-    assert out[0].startswith("beta table stopped at i = 11: beta_sup needs ")
+    assert out[0] == ("beta table stopped at i = 11: beta_sup needs 4192256 "
+                      "DP steps, past the work budget of 1048576")
     assert len(out) == 2 and out[1].startswith("reports: ")
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in tmp_path.iterdir()} == SEQUENCES_TRANS_HC
     beta = _column(tmp_path / "sequences-trans-hc.tsv", "beta")
     assert [i for i, v in beta.items() if v] == list(range(1, 11))
     shifts = _column(tmp_path / "sequences-trans-hc-shifts.tsv", "gamma_n")

@@ -1,7 +1,8 @@
 """Differential tests: the optimizer kernels against their earlier forms.
 
 The oracles below are the implementations the kernels replaced: a path DP
-that copies its chosen tuple on every step, a cycle-DP optimum on float
+that copies its chosen tuple on every step (the value-only passes and the
+walked-back sets of the DPs both match it), a cycle-DP optimum on float
 weights, the inline "run^2 / t" prefix loops, and the per-Fraction optimizers
 that ran on mu_i before the integer numerators.  They stay here as the
 reference, and the kernels must agree with them in value, type and chosen
@@ -14,9 +15,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from odolab import criteria, gallery
-from odolab.criteria import (GAMMA_BRUTE_CAP, _alpha, _best_prefix_average,
+from odolab.criteria import (GAMMA_BRUTE_CAP, _alpha, _alpha_value,
+                             _best_prefix_average, _cycle_value,
                              _gamma_exhaustive, _gamma_sweep, _mwis_cycle,
-                             _mwis_path, _solve_chains, alpha_shift_witness,
+                             _mwis_path, _path_value, _solve_chains,
+                             alpha_shift, alpha_shift_witness,
                              beta_sup, disjoint_shift_set_zplus,
                              gamma_tilde_witness, gamma_witness, kappa, omega,
                              theta, theta_witness)
@@ -158,6 +161,7 @@ def test_path_dp_matches_tuple_copying_oracle(w):
     val, picked = _mwis_path(w)
     old_val, old_picked = tuple_mwis_path(w)
     assert same(val, old_val)
+    assert same(_path_value(w), old_val)
     assert picked == old_picked
 
 
@@ -172,6 +176,7 @@ def test_cycle_dp_matches_oracle(w):
     val, picked = _mwis_cycle(w)
     old_val, old_picked = tuple_mwis_cycle(w)
     assert same(val, old_val)
+    assert same(_cycle_value(w), old_val)
     assert picked == old_picked
 
 
@@ -181,7 +186,19 @@ def test_alpha_matches_cycle_oracle(w, n):
     val, D = _alpha(w, n)
     old_val, old_D = cycle_alpha(w, n)
     assert same(val, old_val)
+    assert same(_alpha_value(w, n), old_val)
     assert D == old_D
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 3), min_size=2, max_size=16), st.data())
+def test_beta_bound_dominates_twice_alpha(w, data):
+    # beta_sup's skip rules: 2 alpha_r <= B_r = sum_x max(w_x, w_{x+r}) <=
+    # twice the sum of the ceil(m/2) largest weights
+    m = len(w)
+    r = data.draw(st.integers(1, m - 1))
+    bound = sum(max(w[x], w[(x + r) % m]) for x in range(m))
+    assert 2 * cycle_alpha(w, r)[0] <= bound <= 2 * sum(sorted(w)[m // 2:])
 
 
 @settings(max_examples=300, deadline=None)
@@ -190,6 +207,7 @@ def test_alpha_on_floats_is_the_float_copy_bit_for_bit(w, n):
     # weights are strictly positive, as every coordinate of a spec is
     w = [float(x) for x in w]
     assert same(_alpha(w, n)[0], alpha_float(w, n))
+    assert same(_alpha_value(w, n), alpha_float(w, n))
 
 
 def test_path_dp_on_a_long_float_path():
@@ -197,6 +215,7 @@ def test_path_dp_on_a_long_float_path():
     val, picked = _mwis_path(w)
     old_val, old_picked = tuple_mwis_path(w)
     assert same(val, old_val)
+    assert same(_path_value(w), old_val)
     assert picked == old_picked
 
 
@@ -321,21 +340,50 @@ def test_exact_optimizers_match_the_fraction_definitions(nums, n):
     same_witness(disjoint_shift_set_zplus(spec, 1, j), fraction_zplus(w, j))
     assert same(kappa(spec, 1), fraction_kappa(w))
     same_witness(alpha_shift_witness(spec, 1, n), _alpha(w, n))
+    assert same(alpha_shift(spec, 1, n), alpha_shift_witness(spec, 1, n)[0])
     assert same(beta_sup(spec, 1), fraction_beta(w))
     same_witness(gamma_witness(spec, 1), fraction_gamma(w))
 
 
+TRANSLATIONS = ["trans-hc", "trans-mixing", "trans-fhc", "trans-rigid",
+                "trans-hufhc", "hoeffbis-blocks"]
+
+
+@pytest.mark.parametrize("gid", TRANSLATIONS)
+def test_beta_sup_matches_every_residue_on_gallery_rows(gid):
+    # the bound skips residues; the Fraction scan solves all m - 1 of them.
+    # Each distinct exact row up to m = 256 is checked once.
+    spec = gallery.get_spec(gid)
+    rows = {}
+    i = 1
+    while spec.m(i) <= 256:
+        if spec.integer_weights(i) is not None:
+            rows.setdefault(spec.integer_weights(i), i)
+        i += 1
+    assert max(spec.m(i) for i in rows.values()) >= 64
+    for i in rows.values():
+        assert same(beta_sup(spec, i), fraction_beta(spec.mu(i)))
+
+
 @pytest.mark.parametrize("scan,kernel", [
-    (lambda s: beta_sup(s, 1), "_mwis_cycle"),
-    (lambda s: kappa(s, 1), "_mwis_path"),
+    # beta_sup's first work is the bound pass over max(w_x, w_{x+r})
+    (lambda s: beta_sup(s, 1), "max"),
+    (lambda s: beta_sup(s, 1), "_alpha_value"),
+    (lambda s: beta_sup(s, 1), "_path_value"),
+    (lambda s: kappa(s, 1), "_path_value"),
     # the sweep's first work is sorting the symbols
     (lambda s: gamma_witness(s, 1), "sorted"),
-], ids=["beta_sup", "kappa", "gamma-sweep"])
+], ids=["beta_sup", "beta_sup-alpha", "beta_sup-path", "kappa",
+        "gamma-sweep"])
 def test_budgets_trip_before_any_work(monkeypatch, scan, kernel):
     def ran(*args, **kwargs):
-        raise AssertionError(f"{kernel} ran before the budget check")
+        raise AssertionError(f"{kernel} ran")
 
     monkeypatch.setattr(criteria, kernel, ran, raising=False)
+    # under the budget the scan reaches the kernel (on uniform weights beta's
+    # first residue, m/2, is optimal and needs no path); over it, it never does
+    with pytest.raises(AssertionError, match=f"{kernel} ran"):
+        scan(same_measure_spec([3, 1] * 10))
     with pytest.raises(CapExceeded, match="work budget"):
         scan(same_measure_spec([1] * 2048))
 
