@@ -8,7 +8,7 @@ Each quantity comes with the optimizer the table tags it with:
                 graph is a union of paths, solved by take/skip DP ("path-dp");
   alpha/beta -- shift-disjoint sets mod m; the graph is a union of cycles,
                 solved by the two-pass cycle DP ("cycle-dp"); beta on exact
-                rows skips the residues an integer bound rules out;
+                rows stops at r = m/2 when an integer bound shows it best;
   gamma      -- best split level; exhaustive (vectorized over bitmasks) up to
                 m = 16 ("brute-force"), sorted-weight prefix sweeps beyond
                 ("search-lower-bound");
@@ -235,26 +235,19 @@ def beta_sup(spec: SystemSpec, i: int) -> Scalar:
     Shifts r and m - r have the same conflict edges, so alpha_r = alpha_{m-r}
     and exact rows scan r <= m/2 only.  Float rows scan every residue: the
     reversed chain order could change the last bit of a float sum.  Exact
-    rows solve r = m/2, then r by decreasing B_r = sum_x max(w_x, w_{x+r})
-    >= 2 alpha_r (a chosen x owns the terms at x and x - r) to B_r <= 2 best.
+    rows stop at alpha_{m/2} when it is at least the sum S of the ceil(m/2)
+    largest weights: B_r = sum_x max(w_x, w_{x+r}) lies in [2 alpha_r, 2 S],
+    since a chosen x owns terms x and x - r and each weight is in two terms.
     """
     w, q = _weights(spec, i)
     m = len(w)
     last = m // 2 if q is not None else m - 1
     charge_work(m * last, "beta_sup")
-    if q is None:
-        return max(_alpha_value(w, r) for r in range(1, m))
-    # a weight is the larger of at most two terms of B_r, so every B_r is at
-    # most twice the sum of the ceil(m/2) largest weights
-    best = _alpha_value(w, last)
-    if sum(sorted(w)[m // 2:]) <= best:
-        return Fraction(best, q)
-    bound = {r: sum(map(max, w, w[r:] + w[:r])) for r in range(last, 0, -1)}
-    for r in sorted(bound, key=bound.get, reverse=True):
-        if bound[r] <= 2 * best:
-            break
-        best = max(best, _alpha_value(w, r))
-    return Fraction(best, q)
+    if q is not None:
+        best = _alpha_value(w, last)
+        if sum(sorted(w)[m // 2:]) <= best:
+            return Fraction(best, q)
+    return _scalar(max(_alpha_value(w, r) for r in range(1, last + 1)), q)
 
 
 def gamma_translation(spec: SystemSpec, n: int, index_horizon: int) -> Scalar:

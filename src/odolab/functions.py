@@ -7,7 +7,6 @@ are exposed as float enclosures since p-th roots are irrational.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -45,11 +44,10 @@ def _scaled_values(values) -> tuple:
     """
     import numpy as np
     values = tuple(values)
-    first = {}      # id of each value object -> position of its first use
-    at = np.fromiter(map(first.setdefault, map(id, values), itertools.count()),
+    index = {}      # id of each distinct value object -> its row of the table
+    at = np.fromiter((index.setdefault(id(v), len(index)) for v in values),
                      dtype=np.int64, count=len(values))
-    keys = np.fromiter(first.values(), dtype=np.int64, count=len(first))
-    distinct = [values[k] for k in keys.tolist()]
+    distinct = list({id(v): v for v in values}.values())
     view = integer_view(distinct)
     if view is None:
         table, den = np.array([float(v) for v in distinct]), None
@@ -57,7 +55,7 @@ def _scaled_values(values) -> tuple:
         nums, den = view
         small = max(map(abs, nums)) < 1 << 62
         table = np.array(nums, dtype=np.int64 if small else object)
-    return table[np.searchsorted(keys, at)], den
+    return table[at], den
 
 
 def _lp_pow(tr: TruncatedSpace, nums, scale: Optional[int], p: Scalar) -> Scalar:
@@ -116,8 +114,7 @@ def period_of(spec: SystemSpec, f: SimpleFunction) -> int:
     """Least d >= 1 with C^d f = f; always divides the bijection order.
 
     Checked over the divisors of the order, so the cost is a few permutation
-    pulls rather than an iteration over every candidate d.  Values are
-    compared as _scaled_values' array; an array of values is compared as is.
+    pulls of _scaled_values' array (of f.values when that is an array).
     """
     import numpy as np
     if not isinstance(f.values, np.ndarray):

@@ -302,8 +302,13 @@ class BoundReport:
 
 
 def _odometer_level_value(spec: SystemSpec, l: int, prefix_ratio: Scalar) -> Scalar:
-    return prefix_ratio * max(spec.mu_weight(l, j - 1) / spec.mu_weight(l, j)
-                              for j in range(spec.m(l)))
+    m = spec.m(l)
+    sup = None
+    for j in range(m):
+        r = spec.mu_weight(l, j - 1) / spec.mu_weight(l, j)
+        if sup is None or r > sup:
+            sup = r
+    return prefix_ratio * sup
 
 
 def boundedness(spec: SystemSpec, horizon: int, closed_form: Optional[str] = None) -> BoundReport:
@@ -372,8 +377,13 @@ def norm_probe(spec: SystemSpec, depth: int, n: int,
         measures = build_truncation(spec, depth).all_measures()
     M = len(measures)
     n = n % M
-    best = max(measures[c - n] / measures[c] for c in range(n, M))
-    return best, Fraction(M - n, M)
+    best = None
+    resolved = M - n
+    for c in range(n, M):
+        ratio = measures[c - n] / measures[c]
+        if best is None or ratio > best:
+            best = ratio
+    return best, Fraction(resolved, M)
 
 
 def kakutani_check(spec: SystemSpec, horizon: int,

@@ -193,8 +193,8 @@ def test_alpha_matches_cycle_oracle(w, n):
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.integers(0, 3), min_size=2, max_size=16), st.data())
 def test_beta_bound_dominates_twice_alpha(w, data):
-    # beta_sup's skip rules: 2 alpha_r <= B_r = sum_x max(w_x, w_{x+r}) <=
-    # twice the sum of the ceil(m/2) largest weights
+    # beta_sup's cap: 2 alpha_r <= B_r = sum_x max(w_x, w_{x+r}) <= twice
+    # the sum of the ceil(m/2) largest weights
     m = len(w)
     r = data.draw(st.integers(1, m - 1))
     bound = sum(max(w[x], w[(x + r) % m]) for x in range(m))
@@ -351,7 +351,7 @@ TRANSLATIONS = ["trans-hc", "trans-mixing", "trans-fhc", "trans-rigid",
 
 @pytest.mark.parametrize("gid", TRANSLATIONS)
 def test_beta_sup_matches_every_residue_on_gallery_rows(gid):
-    # the bound skips residues; the Fraction scan solves all m - 1 of them.
+    # the cap may stop at r = m/2; the Fraction scan solves all m - 1 residues.
     # Each distinct exact row up to m = 256 is checked once.
     spec = gallery.get_spec(gid)
     rows = {}
@@ -366,22 +366,20 @@ def test_beta_sup_matches_every_residue_on_gallery_rows(gid):
 
 
 @pytest.mark.parametrize("scan,kernel", [
-    # beta_sup's first work is the bound pass over max(w_x, w_{x+r})
-    (lambda s: beta_sup(s, 1), "max"),
+    # beta_sup's first work is alpha at r = m/2, a pass over 2-cycles
     (lambda s: beta_sup(s, 1), "_alpha_value"),
     (lambda s: beta_sup(s, 1), "_path_value"),
     (lambda s: kappa(s, 1), "_path_value"),
     # the sweep's first work is sorting the symbols
     (lambda s: gamma_witness(s, 1), "sorted"),
-], ids=["beta_sup", "beta_sup-alpha", "beta_sup-path", "kappa",
-        "gamma-sweep"])
+], ids=["beta_sup", "beta_sup-path", "kappa", "gamma-sweep"])
 def test_budgets_trip_before_any_work(monkeypatch, scan, kernel):
     def ran(*args, **kwargs):
         raise AssertionError(f"{kernel} ran")
 
     monkeypatch.setattr(criteria, kernel, ran, raising=False)
-    # under the budget the scan reaches the kernel (on uniform weights beta's
-    # first residue, m/2, is optimal and needs no path); over it, it never does
+    # under the budget the scan reaches the kernel (on [3, 1] * 10 alpha_{m/2}
+    # fails beta's cap, so the residue scan runs paths); over it, it never does
     with pytest.raises(AssertionError, match=f"{kernel} ran"):
         scan(same_measure_spec([3, 1] * 10))
     with pytest.raises(CapExceeded, match="work budget"):
