@@ -163,19 +163,6 @@ def cmd_sequences(args, spec: SystemSpec) -> int:
     return 0
 
 
-def _translation(sub: str):
-    """The diagonal-translation construction `sub` with its CLI parameters."""
-    def build(witness, spec, a):
-        params = {"epsilon": a.eps}
-        if sub == "hoeffding":
-            sites = [i for i in range(1, 13) if spec.m(i) <= (1 << 12)]
-            params.update(sites=sites, n=a.iterate or spec.m(1) // 2 or 1)
-        elif sub == "ufhcsum":
-            params = {"block": a.iterate or 8, "epsilon": a.eps}
-        return witness.translation_witnesses(spec, sub, params)
-    return build
-
-
 # witness name -> (spec kinds it drives, its construction on
 # (witness module, spec, args))
 WITNESSES = {
@@ -190,8 +177,16 @@ WITNESSES = {
     "src": ((ODOMETER, TRANSLATION), lambda w, spec, a: w.src_search(
         spec, a.eps, **a.sampling)),
     "rigidity": ((TRANSLATION,), lambda w, spec, a: w.rigidity_probe(spec)),
-    **{f"translation-{sub}": ((TRANSLATION,), _translation(sub))
-       for sub in ("single-site", "hoeffding", "fhcsum", "ufhcsum")},
+    "translation-single-site": ((TRANSLATION,), lambda w, spec, a:
+        w.single_site_witness(spec, a.eps)),
+    "translation-hoeffding": ((TRANSLATION,), lambda w, spec, a:
+        w.translation_hoeffding_witness(
+            spec, [i for i in range(1, 13) if spec.m(i) <= (1 << 12)],
+            a.iterate or spec.m(1) // 2 or 1, a.eps)),
+    "translation-fhcsum": ((TRANSLATION,), lambda w, spec, a:
+        w.fhcsum_witness(spec, a.eps)),
+    "translation-ufhcsum": ((TRANSLATION,), lambda w, spec, a:
+        w.ufhcsum_witness(spec, a.iterate or 8, a.eps)),
     "shift-fhc": ((SHIFT,), lambda w, spec, a: w.shift_fhc_witness(
         spec, kappa_param=0.15)),
 }

@@ -43,6 +43,7 @@ from .space import SHIFT, SystemSpec
 
 GAMMA_BRUTE_CAP = 16
 WORK_BUDGET = 1 << 20     # steps one scan may take; checked before it starts
+FLOAT_ROW_CAP = 1 << 13   # widest alphabet the float translation rules read
 
 
 def _weights(spec: SystemSpec, i: int) -> tuple:
@@ -614,13 +615,13 @@ def _rule_ufhc_odometer(spec, horizon, params):
                     {"found": found}, params)
 
 
-def _float_rows(spec, idx_h, size_cap=1 << 13) -> list:
+def _float_rows(spec, idx_h) -> list:
     """mu_i as float lists for i = 1, 2, ..., stopping after idx_h, at the
-    first m_i > size_cap, or at the first mu_i past its cap."""
+    first m_i > FLOAT_ROW_CAP, or at the first mu_i past its cap."""
     rows = []
     for i in range(1, idx_h + 1):
         try:
-            if spec.m(i) > size_cap:
+            if spec.m(i) > FLOAT_ROW_CAP:
                 break
             rows.append([float(x) for x in spec.mu(i)])
         except CapExceeded:

@@ -205,7 +205,7 @@ def orbit_trace(spec: SystemSpec, f: SimpleFunction, g: SimpleFunction,
 
 @dataclass
 class MonotoneGauge:
-    """A strictly increasing scalar gauge with an explicit inverse.
+    """A strictly increasing scalar gauge with a known inverse.
 
     Used only through the indicator-norm formula; `threshold` is the point
     past which the gauge is strictly increasing (inverse defined beyond

@@ -35,7 +35,6 @@ class GalleryEntry:
     id: str
     title: str
     build: Callable[..., SystemSpec]
-    default_params: dict = field(default_factory=dict)
     expectations: dict = field(default_factory=dict)   # criterion -> status
     closed_forms: dict = field(default_factory=dict)   # criterion -> fn(spec, params) -> (status, evidence)
     bound_verdict: Optional[Callable[[SystemSpec], str]] = None
@@ -199,7 +198,7 @@ _GALLERY_DATA = [
         notes="weights: 1/2 at symbol 0, the rest split evenly"),
     GalleryEntry(
         id="binary-alpha", title="binary weights 1/2 + i^-alpha",
-        build=_build_binary_alpha, default_params={"alpha": "1/4"},
+        build=_build_binary_alpha,
         atomless_depth=120,
         expectations={},
         closed_forms={"power-bounded": _cf_binary_alpha_power,
@@ -209,7 +208,6 @@ _GALLERY_DATA = [
     GalleryEntry(
         id="same-measure", title="one weight vector on every coordinate",
         build=_build_same_measure,
-        default_params={"weights": ("1/2", "1/3", "1/6")},
         atomless_depth=8,
         expectations={},
         closed_forms={"hc-limsup-drop": _cf_same_measure_drop,

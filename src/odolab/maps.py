@@ -2,10 +2,10 @@
 
 On a depth-N truncation in little-endian mixed radix the odometer is literally
 "+1 mod M_{N+1}" on cell indices, and its k-th iterate is "+k".  The diagonal
-translation adds 1 to every digit independently.  Transports of product-form
-sets through odometer iterates avoid enumeration entirely via a two-state
-carry chain: the probability of reaching digit i with a pending carry is all
-the process needs to remember.
+translation adds 1 to every digit independently.  Transports of depth sets
+never enumerate cells: under the translation every factor shifts, and through
+odometer iterates a two-state carry chain suffices, since the probability of
+reaching digit i with a pending carry is all the process needs to remember.
 """
 from __future__ import annotations
 
@@ -164,7 +164,8 @@ class InducedBijection:
 
 def _carry_chain_measure(spec: SystemSpec, factors: Sequence, k: int,
                          subtract: bool = False) -> Scalar:
-    """mu{ x : (o^k x)_i in S_i for all i <= N }  (or o^-k when subtract).
+    """mu{ x : (o^k x)_i in S_i for all i <= N }  (or o^-k when subtract);
+    a factor S_i of None is the whole alphabet.
 
     Forward addition only ever sends a carry upward, so a two-state chain in
     the carry (or borrow) bit computes the probability exactly in O(N * m).
@@ -206,61 +207,39 @@ def _carry_chain_measure(spec: SystemSpec, factors: Sequence, k: int,
 
 
 def odometer_pullback_measure(spec: SystemSpec, S: DepthSet, k: int) -> Scalar:
-    """mu(o^-k(S)) for a product-form S, exact at any depth."""
-    if not S.is_product():
-        raise ValueError("carry-chain transport needs a product-form set")
-    return _carry_chain_measure(spec, S.factors, k, subtract=False)
-
-
-def odometer_pushforward_measure(spec: SystemSpec, S: DepthSet, k: int) -> Scalar:
-    """mu(o^k(S)) for a product-form S: membership of the k-step preimage."""
-    if not S.is_product():
-        raise ValueError("carry-chain transport needs a product-form set")
-    return _carry_chain_measure(spec, S.factors, k, subtract=True)
+    """mu(o^-k(S)), exact at any depth."""
+    return _carry_chain_measure(spec, S.factors, k)
 
 
 def translation_set_shift(spec: SystemSpec, S: DepthSet, k: int) -> DepthSet:
-    """t^-k(S) for product-form S: every factor shifts down by k mod m_i."""
-    if not S.is_product():
-        raise ValueError("product form required")
+    """t^-k(S): every factor shifts down by k mod m_i; whole alphabets stay."""
     shifted = []
     for i, f in enumerate(S.factors, start=1):
-        m = spec.m(i)
-        shifted.append(frozenset((j - k) % m for j in f))
+        if f is not None:
+            m = spec.m(i)
+            f = frozenset((j - k) % m for j in f)
+        shifted.append(f)
     return DepthSet.product_form(spec, shifted)
 
 
 def preimage_measure(spec: SystemSpec, S: DepthSet, n: int) -> Scalar:
-    """mu(map^-n(S)), exact (enumeration within cap, else product transport)."""
+    """mu(map^-n(S)), exact: a carry chain through the odometer, a shift of
+    every factor under the translation."""
     if n == 0:
         return set_measure(spec, S)
-    if spec.kind == ODOMETER and S.is_product():
+    if spec.kind == ODOMETER:
         return odometer_pullback_measure(spec, S, n)
-    if spec.kind == TRANSLATION and S.is_product():
-        return set_measure(spec, translation_set_shift(spec, S, n))
-    if spec.kind not in (ODOMETER, TRANSLATION):
-        raise ValueError("preimage_measure acts on product-space specs")
-    return _enumerated_image_measure(spec, S, -n)
+    return set_measure(spec, translation_set_shift(spec, S, n))
 
 
 def forward_image_measure(spec: SystemSpec, S: DepthSet, n: int) -> Scalar:
-    """mu(map^n(S)), exact: the image cells are map^n of the member cells."""
+    """mu(map^n(S)), exact: the odometer's carry chain runs on the borrow,
+    and under the translation every factor shifts up by n."""
     if n == 0:
         return set_measure(spec, S)
-    if spec.kind == ODOMETER and S.is_product():
-        return odometer_pushforward_measure(spec, S, n)
-    if spec.kind == TRANSLATION and S.is_product():
-        return set_measure(spec, translation_set_shift(spec, S, -n))
-    return _enumerated_image_measure(spec, S, n)
-
-
-def _enumerated_image_measure(spec: SystemSpec, S: DepthSet, n: int) -> Scalar:
-    """mu(map^n(S)) summed over the cells of S moved by n (n < 0 pulls back)."""
-    import numpy as np
-    bij = InducedBijection(spec, S.depth)
-    tr = build_truncation(spec, S.depth)
-    cells = np.fromiter(S.to_cells(), dtype=np.int64)
-    return tr.measure_of(bij.forward(cells, n))
+    if spec.kind == ODOMETER:
+        return _carry_chain_measure(spec, S.factors, n, subtract=True)
+    return set_measure(spec, translation_set_shift(spec, S, -n))
 
 
 # ---------------------------------------------------------------------------

@@ -367,7 +367,7 @@ class SplitGeometricMeasure(MeasureFamily):
         return tuple(left + right)
 
 
-def solve_geometric_ratio(i: int, m: int, tol: float = 1e-12) -> float:
+def solve_geometric_ratio(i: int, m: int) -> float:
     """Root of sum_{j<m} c^j = (i+1)/i inside ((1/(i+1), 1/i]), by bisection.
 
     The bracket always encloses the root: the full geometric series at the
@@ -382,9 +382,9 @@ def solve_geometric_ratio(i: int, m: int, tol: float = 1e-12) -> float:
         return math.fsum(c ** j for j in range(m)) - target
 
     lo, hi = 1.0 / (i + 1), 1.0 / i
-    if f(hi) < -tol:
+    if f(hi) < -FLOAT_TOL:
         raise BracketFailure(f"no sign change in the bracket for i={i}, m={m}")
-    # run to machine precision (well inside any requested tolerance) so that
+    # run to machine precision (well inside FLOAT_TOL) so that
     # downstream normalization errors stay far below the float backend's 1e-12
     for _ in range(200):
         mid = 0.5 * (lo + hi)
@@ -984,15 +984,6 @@ class TruncatedSpace:
             self._vector = (values, den)
         return self._vector
 
-    def measure_of(self, cells) -> Scalar:
-        """Exact measure of a collection of cell indices."""
-        import numpy as np
-        values, den = self.measure_vector()
-        picked = values[np.fromiter(cells, dtype=np.int64)]
-        if den is None:
-            return scalar_sum(picked)
-        return Fraction(int(picked.sum()), den)
-
     def cell_measure(self, cell: int) -> Scalar:
         values, den = self.measure_vector()
         v = values[cell]
@@ -1020,11 +1011,14 @@ def build_truncation(spec: SystemSpec, depth: int, cap: Optional[int] = None) ->
     cap = spec.enum_cap if cap is None else cap
     ms = tuple(spec.m(i) for i in range(1, depth + 1))
     radix = [1]
-    for m in ms:
+    for i, m in enumerate(ms, start=1):
         radix.append(radix[-1] * m)
+        # stop at the first coordinate past the cap: the full product can
+        # pass str()'s 4,300-digit limit
         if radix[-1] > cap:
             raise CapExceeded(
-                f"truncation at depth {depth} has {radix[-1]} cells > cap {cap}")
+                f"truncation at depth {depth} passes the cap {cap} at "
+                f"coordinate {i}: coordinates 1..{i} have {radix[-1]} cells")
     return TruncatedSpace(spec=spec, depth=depth, ms=ms, radix=tuple(radix))
 
 
@@ -1034,29 +1028,28 @@ def build_truncation(spec: SystemSpec, depth: int, cap: Optional[int] = None) ->
 
 @dataclass
 class DepthSet:
-    """A set determined by the first `depth` coordinates.
+    """A product cylinder on the first `depth` coordinates.
 
-    Stored either in product form (one subset per coordinate) or as an
-    explicit set of cell indices.  Product form never enumerates cells.
+    factors[i - 1] is the frozenset of symbols allowed at coordinate i, or
+    None for the whole alphabet.  Measures and transports read the factors;
+    only `mask` enumerates cells.
     """
 
     spec: SystemSpec
     depth: int
-    factors: Optional[tuple] = None        # tuple of frozensets
-    cells: Optional[frozenset] = None
+    factors: tuple
 
     @staticmethod
-    def product_form(spec: SystemSpec, factors: Sequence[Iterable[int]]) -> "DepthSet":
-        fs = tuple(frozenset(f) for f in factors)
+    def product_form(spec: SystemSpec,
+                     factors: Sequence[Optional[Iterable[int]]]) -> "DepthSet":
+        fs = tuple(None if f is None else frozenset(f) for f in factors)
         for i, f in enumerate(fs, start=1):
+            if f is None:
+                continue
             m = spec.m(i)
             if any(not 0 <= j < m for j in f):
                 raise ValueError(f"factor {i} has symbols outside the alphabet")
         return DepthSet(spec=spec, depth=len(fs), factors=fs)
-
-    @staticmethod
-    def from_cells(spec: SystemSpec, depth: int, cells: Iterable[int]) -> "DepthSet":
-        return DepthSet(spec=spec, depth=depth, cells=frozenset(cells))
 
     @staticmethod
     def basic_cylinder(spec: SystemSpec, symbols: Sequence[int]) -> "DepthSet":
@@ -1070,48 +1063,28 @@ class DepthSet:
         if any(not 1 <= i <= depth for i in fixed):
             raise ValueError(f"fixed coordinates outside 1..{depth}")
         return DepthSet.product_form(
-            spec, [fixed[i] if i in fixed else range(spec.m(i))
-                   for i in range(1, depth + 1)])
-
-    def is_product(self) -> bool:
-        return self.factors is not None
+            spec, [fixed.get(i) for i in range(1, depth + 1)])
 
     def mask(self, cap: Optional[int] = None) -> np.ndarray:
         """Boolean array over the depth-N cells, True on the members."""
         import numpy as np
         tr = build_truncation(self.spec, self.depth, cap)
-        if self.cells is not None:
-            keep = np.zeros(tr.cell_count, dtype=bool)
-            keep[np.fromiter(self.cells, dtype=np.int64,
-                             count=len(self.cells))] = True
-            return keep
         keep = np.ones(tr.cell_count, dtype=bool)
         rest = np.arange(tr.cell_count)
         for m, f in zip(tr.ms, self.factors):
             rest, d = divmod(rest, m)
-            keep &= np.isin(d, list(f))
+            if f is not None:
+                keep &= np.isin(d, list(f))
         return keep
-
-    def to_cells(self, cap: Optional[int] = None) -> frozenset:
-        if self.cells is not None:
-            return self.cells
-        return frozenset(self.mask(cap).nonzero()[0].tolist())
-
-    def explicit(self, cap: Optional[int] = None) -> "DepthSet":
-        if self.cells is not None:
-            return self
-        return DepthSet(spec=self.spec, depth=self.depth, cells=self.to_cells(cap))
 
 
 def set_measure(spec: SystemSpec, S: DepthSet) -> Scalar:
-    """Exact measure of a depth set; product form avoids cell enumeration."""
-    if S.is_product():
-        total = None
-        for i, f in enumerate(S.factors, start=1):
-            part = spec.subset_measure(i, f)
-            total = part if total is None else total * part
-        return total if total is not None else Fraction(1)
-    return build_truncation(spec, S.depth).measure_of(S.cells)
+    """Exact measure of a depth set: the product of its factors' measures."""
+    total = None
+    for i, f in enumerate(S.factors, start=1):
+        part = spec.subset_measure(i, range(spec.m(i)) if f is None else f)
+        total = part if total is None else total * part
+    return total if total is not None else Fraction(1)
 
 
 @dataclass

@@ -35,6 +35,10 @@ from .space import (ODOMETER, SHIFT, TRANSLATION, DepthSet, SystemSpec,
 EXHAUSTIVE_CELL_CAP = 1 << 22
 DEFAULT_TRIALS = 1_000_000
 DEFAULT_SEED = 20240901
+TRANSITIVITY_INDEX_CAP = 4000   # last index the transitivity plan scans
+KAPPA_SCAN = 40                 # indices the mixing witness scans for i_0
+FHC_K_BUDGET = 4096             # fhc checks every k up to kappa d within this
+SHIFT_F_RADIUS = 3              # the shift witness's core F = [-3, 3]
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +144,6 @@ class TransitivityPlan:
 
 def find_transitivity_params(spec: SystemSpec, epsilon: float,
                              horizon: int = 400, beta: Optional[float] = None,
-                             depth_cap: int = 4000,
                              cell_cap: int = EXHAUSTIVE_CELL_CAP
                              ) -> TransitivityPlan:
     """Search offsets/lengths of the index rule i_s = floor((offset+s)^beta).
@@ -164,7 +167,7 @@ def find_transitivity_params(spec: SystemSpec, epsilon: float,
         if i < 1 or i in seen:
             continue
         seen.add(i)
-        if i > depth_cap:
+        if i > TRANSITIVITY_INDEX_CAP:
             break
         raw.append(i)
         work += spec.m(i) ** 2
@@ -499,7 +502,6 @@ def _sampled_disjointness(spec, membership, depth, k, trials, seed,
 # ---------------------------------------------------------------------------
 
 def mixing_witness(spec: SystemSpec, epsilon: float, k: int,
-                   kappa_scan: int = 40,
                    cell_cap: int = EXHAUSTIVE_CELL_CAP) -> WitnessReport:
     """Two-coordinate witness disjoint from its k-th image, k past the burn-in.
 
@@ -512,7 +514,7 @@ def mixing_witness(spec: SystemSpec, epsilon: float, k: int,
     need = 1 - Fraction(epsilon).limit_denominator(10 ** 9) / 3
     kappas = {}
     i0 = None
-    for i in range(1, kappa_scan + 1):
+    for i in range(1, KAPPA_SCAN + 1):
         kappas[i] = kappa_seq(spec, i)
         if float(kappas[i]) < float(need):
             i0 = None
@@ -520,7 +522,7 @@ def mixing_witness(spec: SystemSpec, epsilon: float, k: int,
             i0 = i
     if i0 is None:
         raise HypothesisUnavailable(
-            f"no suffix of indices <= {kappa_scan} keeps the shift-disjoint "
+            f"no suffix of indices <= {KAPPA_SCAN} keeps the shift-disjoint "
             f"optimum above 1 - eps/3 = {float(need):.6g}")
     radix = spec.radix_weights(i0 + 1)
     k0 = sum(radix[i - 1] for i in range(1, i0 + 1))
@@ -584,8 +586,7 @@ def mixing_witness(spec: SystemSpec, epsilon: float, k: int,
 def fhc_witness(spec: SystemSpec, epsilon: float, kappa_param,
                 f_symbols: Optional[Sequence[int]] = None,
                 horizon: int = 400, spot_checks: int = 1000,
-                seed: int = DEFAULT_SEED,
-                k_budget: int = 4096) -> WitnessReport:
+                seed: int = DEFAULT_SEED) -> WitnessReport:
     """Periodic-block witness: pullbacks stay small for kd steps, then large.
 
     Finds a depth N where the top-interval mass omega_{N-1}(kappa) and the
@@ -656,7 +657,7 @@ def fhc_witness(spec: SystemSpec, epsilon: float, kappa_param,
                "exact", d_period % radix[N] == 0)
 
     kd = int(kappa_param * d_period)
-    if kd + 1 <= k_budget:
+    if kd + 1 <= FHC_K_BUDGET:
         ks = list(range(kd + 1))
         coverage = "all-k"
     else:
@@ -810,7 +811,8 @@ def src_search(spec: SystemSpec, epsilon: float, depth_horizon: int = 8,
         # factor misses its own shift
         if mask is None:
             back = translation_set_shift(spec, B, -n)
-            if all(a & b for a, b in zip(B.factors, back.factors)):
+            if all(a is None or a & b
+                   for a, b in zip(B.factors, back.factors)):
                 return False
         elif _self_overlap(mask, n):
             return False
@@ -879,15 +881,8 @@ def src_search(spec: SystemSpec, epsilon: float, depth_horizon: int = 8,
 # translation-side witnesses
 # ---------------------------------------------------------------------------
 
-def translation_witnesses(spec: SystemSpec, which: str,
-                          params: Optional[dict] = None) -> WitnessReport:
-    """Dispatch the translation/shift constructions by name.
-
-    which: "single-site", "hoeffding", "fhcsum", "ufhcsum", "shift-fhc".
-    """
-    params = dict(params or {})
-    if which == "shift-fhc":
-        return shift_fhc_witness(spec, **params)
+def _infinite_order(spec: SystemSpec):
+    """Every translation witness needs a translation of infinite order."""
     if spec.kind != TRANSLATION:
         raise ValueError("translation witness on a non-translation spec")
     order = spec.alphabet.bounded_lcm()
@@ -895,15 +890,6 @@ def translation_witnesses(spec: SystemSpec, which: str,
         raise HypothesisUnavailable(
             f"degenerate: the translation has finite order {order} "
             "(bounded alphabets), every witness family fails")
-    if which == "single-site":
-        return _single_site_witness(spec, **params)
-    if which == "hoeffding":
-        return _translation_hoeffding_witness(spec, **params)
-    if which == "fhcsum":
-        return _fhcsum_witness(spec, **params)
-    if which == "ufhcsum":
-        return _ufhcsum_witness(spec, **params)
-    raise ValueError(f"unknown translation construction {which!r}")
 
 
 def _candidate_shifts(m: int) -> list:
@@ -915,8 +901,9 @@ def _candidate_shifts(m: int) -> list:
     return sorted(c for c in cands if 1 <= c <= m - 1)
 
 
-def _single_site_witness(spec: SystemSpec, epsilon: float = 0.1,
-                         horizon: int = 24) -> WitnessReport:
+def single_site_witness(spec: SystemSpec, epsilon: float = 0.1,
+                        horizon: int = 24) -> WitnessReport:
+    _infinite_order(spec)
     report = WitnessReport(construction="translation-single-site",
                            params={"epsilon": epsilon, "horizon": horizon})
     for i in range(1, horizon + 1):
@@ -945,9 +932,10 @@ def _single_site_witness(spec: SystemSpec, epsilon: float = 0.1,
         f"no site <= {horizon} reaches shift-disjoint mass 1 - eps")
 
 
-def _translation_hoeffding_witness(spec: SystemSpec, sites: Sequence[int],
-                                   n: int, epsilon: float = 0.25) -> WitnessReport:
+def translation_hoeffding_witness(spec: SystemSpec, sites: Sequence[int],
+                                  n: int, epsilon: float = 0.25) -> WitnessReport:
     """Threshold witness across several sites for one common shift n."""
+    _infinite_order(spec)
     report = WitnessReport(construction="translation-hoeffding",
                            params={"sites": list(sites), "n": n,
                                    "epsilon": epsilon})
@@ -974,9 +962,10 @@ def _translation_hoeffding_witness(spec: SystemSpec, sites: Sequence[int],
     return report
 
 
-def _fhcsum_witness(spec: SystemSpec, epsilon: float = 0.2,
-                    horizon: int = 16) -> WitnessReport:
+def fhcsum_witness(spec: SystemSpec, epsilon: float = 0.2,
+                   horizon: int = 16) -> WitnessReport:
     """Flipped per-site pullback family: big for a sixth of the order, then small."""
+    _infinite_order(spec)
     report = WitnessReport(construction="translation-fhcsum",
                            params={"epsilon": epsilon, "horizon": horizon})
     for i in range(3, horizon + 1):
@@ -985,11 +974,13 @@ def _fhcsum_witness(spec: SystemSpec, epsilon: float = 0.2,
         if n_i < 1:
             continue
         head = m - 2 * n_i
-        D = frozenset(range(head, m))    # middle ramp plus tail block
+        D = range(head, m)    # middle ramp plus tail block
         mass = spec.interval_measure(i, head, m - 1)
         if float(mass) < 1 - epsilon:
             continue
         budget = m // 6
+        charge_work(2 * (budget + 1), f"fhcsum shifts at site {i}",
+                    "interval sums")
         ok_big = ok_small = True
         worst_big, worst_small = None, None
         for k in range(0, budget + 1):
@@ -1025,36 +1016,33 @@ def _shifted_interval_measure(spec: SystemSpec, i: int, lo: int, hi: int) -> Sca
             + spec.interval_measure(i, lo_m, m - 1))
 
 
-def _ufhcsum_witness(spec: SystemSpec, block: int, epsilon: float = 0.2,
-                     along: str = "evens") -> WitnessReport:
-    """Counting witness along a positive-upper-density set of iterates.
+def ufhcsum_witness(spec: SystemSpec, block: int,
+                    epsilon: float = 0.2) -> WitnessReport:
+    """Counting witness along the even iterates, of upper density 1/2.
 
     Uses the block structure m_i = 3 * 2^i: the top third pulls entirely into
     the flat two thirds for every k in [2^block, 2^(block+1)].
     """
-    sel = {"evens": lambda k: k % 2 == 0,
-           "odds": lambda k: k % 2 == 1,
-           "all": lambda k: True}[along]
+    _infinite_order(spec)
     i = block
     m = spec.m(i)
     n_i = m // 3
-    D = frozenset(range(2 * n_i, m))
+    D = range(2 * n_i, m)
     report = WitnessReport(construction="translation-ufhcsum",
                            params={"block": block, "epsilon": epsilon,
-                                   "along": along, "site": i})
+                                   "along": "evens", "site": i})
     mass = spec.interval_measure(i, 2 * n_i, m - 1)
     report.add("set-large", "mu_i(D) >= 1 - eps", 1 - epsilon, mass, "exact",
                float(mass) >= 1 - epsilon - 1e-12)
     window = 2 * n_i
+    charge_work(window, f"ufhcsum shifts at site {i}", "interval sums")
     hits = []
-    for k in range(1, window + 1):
-        if not sel(k):
-            continue
+    for k in range(2, window + 1, 2):
         pulled = _shifted_interval_measure(spec, i, 2 * n_i - k, m - 1 - k)
         if float(pulled) <= epsilon + 1e-12:
             hits.append(k)
     density_lower = Fraction(len(hits), window)
-    target = Fraction(1, 4) if along in ("evens", "odds") else Fraction(1, 2)
+    target = Fraction(1, 4)
     report.add("count", "hit fraction >= density/2 of the driving set",
                target, density_lower, "exact", density_lower >= target)
     report.objects.update(D=D, hits=hits, window=window)
@@ -1066,7 +1054,7 @@ def _ufhcsum_witness(spec: SystemSpec, block: int, epsilon: float = 0.2,
 # ---------------------------------------------------------------------------
 
 def shift_fhc_witness(spec: SystemSpec, kappa_param=0.15, d: int = 200,
-                      n: Optional[int] = None, f_radius: int = 3,
+                      n: Optional[int] = None,
                       window: int = 600) -> WitnessReport:
     """Block-union witness for the shift: misses F for kd steps, covers it after n.
 
@@ -1084,12 +1072,12 @@ def shift_fhc_witness(spec: SystemSpec, kappa_param=0.15, d: int = 200,
         n = math.floor(3.5 * kappa_f * d)
     if not (3 * kappa_f * d <= n <= 4 * kappa_f * d):
         raise ValueError("n must lie in [3 kappa d, 4 kappa d]")
-    lo = -f_radius if spec.index_set == "Z" else 0
-    F = set(range(lo, f_radius + 1))
+    lo = -SHIFT_F_RADIUS if spec.index_set == "Z" else 0
+    F = set(range(lo, SHIFT_F_RADIUS + 1))
     E = set()
     for k in range(kd + 1):
         E |= {x + k + n for x in F}
-    needed = max(abs(min(E) - d), abs(max(E) + d), f_radius + n + kd)
+    needed = max(abs(min(E) - d), abs(max(E) + d), SHIFT_F_RADIUS + n + kd)
     if needed > window:
         raise WindowTooSmall(f"window {window} < needed range {needed}")
     shells = range(-((window + d) // d), (window + d) // d + 1)
@@ -1102,7 +1090,8 @@ def shift_fhc_witness(spec: SystemSpec, kappa_param=0.15, d: int = 200,
 
     report = WitnessReport(construction="shift-fhc",
                            params={"kappa": kappa_param, "d": d, "n": n,
-                                   "f_radius": f_radius, "window": window})
+                                   "f_radius": SHIFT_F_RADIUS,
+                                   "window": window})
     comp_mass = 1 - sum((spec.nu(x) for x in F),
                         Fraction(0)) / spec.shift_weights.total(spec.index_set)
     report.add("core-covers", "F carries most of the mass", "context",

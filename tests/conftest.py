@@ -36,6 +36,10 @@ def listed_spec(kind, vectors) -> SystemSpec:
                       measure=ListedMeasure(vectors))
 
 
+def member_cells(S) -> frozenset:
+    return frozenset(S.mask().nonzero()[0].tolist())
+
+
 def uniform_binary() -> SystemSpec:
     return gallery.get_spec("same-measure(1/2,1/2)")
 

@@ -20,10 +20,10 @@ from odolab.functions import period_of
 from odolab.maps import InducedBijection, odometer_pullback_measure
 from odolab.space import (AlphabetRule, DepthSet, SimpleFunction, SystemSpec,
                           build_truncation)
-from odolab.witness import (_self_overlap, fhc_witness, src_search,
-                            translation_witnesses)
+from odolab.witness import (_self_overlap, fhc_witness, single_site_witness,
+                            src_search)
 
-from conftest import listed_spec
+from conftest import listed_spec, member_cells
 
 
 # ---------------------------------------------------------------------------
@@ -47,7 +47,8 @@ def padded_top(spec, depth, top):
 def cells_by_digits(spec, S):
     tr = build_truncation(spec, S.depth)
     return frozenset(c for c in range(tr.cell_count)
-                     if all(d in f for d, f in zip(tr.digits(c), S.factors)))
+                     if all(f is None or d in f
+                            for d, f in zip(tr.digits(c), S.factors)))
 
 
 def set_overlap(cell_count, b_cells, k):
@@ -66,7 +67,7 @@ def odometers(draw, max_depth=4, max_m=5):
 def product_sets(draw):
     spec = draw(odometers())
     depth = draw(st.integers(1, 4))
-    factors = [draw(st.frozensets(st.integers(0, spec.m(i) - 1)))
+    factors = [draw(st.none() | st.frozensets(st.integers(0, spec.m(i) - 1)))
                for i in range(1, depth + 1)]
     return spec, DepthSet.product_form(spec, factors)
 
@@ -83,11 +84,13 @@ def test_cylinder_matches_hand_padded_lists(data):
     symbols = [data.draw(st.integers(0, spec.m(i) - 1))
                for i in range(1, data.draw(st.integers(0, depth)) + 1)]
     fixed = {i: {s} for i, s in enumerate(symbols, start=1)}
-    assert DepthSet.cylinder(spec, depth, fixed) == padded_symbols(
-        spec, symbols, depth)
+    S = DepthSet.cylinder(spec, depth, fixed)
+    assert S.factors[len(symbols):] == (None,) * (depth - len(symbols))
+    assert member_cells(S) == member_cells(padded_symbols(spec, symbols, depth))
     top = data.draw(st.frozensets(st.integers(0, spec.m(depth) - 1)))
-    assert DepthSet.cylinder(spec, depth, {depth: top}) == padded_top(
-        spec, depth, top)
+    S = DepthSet.cylinder(spec, depth, {depth: top})
+    assert S.factors == (None,) * (depth - 1) + (top,)
+    assert member_cells(S) == member_cells(padded_top(spec, depth, top))
 
 
 def test_cylinder_rejects_coordinates_outside_its_depth(binary_uniform):
@@ -110,9 +113,6 @@ def test_mask_matches_per_cell_membership(case):
     mask = S.mask()
     assert mask.dtype == bool and len(mask) == spec.cell_count(S.depth)
     assert frozenset(mask.nonzero()[0].tolist()) == cells
-    assert S.to_cells() == cells
-    explicit = DepthSet.from_cells(spec, S.depth, cells)
-    assert (explicit.mask() == mask).all()
 
 
 @settings(max_examples=120, deadline=None)
@@ -123,13 +123,13 @@ def test_self_overlap_matches_set_overlap(case, data):
     k = data.draw(st.one_of(st.integers(0, 3 * M),
                             st.integers(0, 40).map(lambda t: t * M),
                             st.integers(2 ** 63, 2 ** 80)))
-    assert _self_overlap(S.mask(), k) == set_overlap(M, S.to_cells(), k)
+    assert _self_overlap(S.mask(), k) == set_overlap(M, member_cells(S), k)
 
 
 def test_self_overlap_large_iterates():
     spec = gallery.get_spec("fhc-binary")
     S = DepthSet.cylinder(spec, 3, {3: {1}})
-    mask, cells = S.mask(), S.to_cells()
+    mask, cells = S.mask(), member_cells(S)
     for k in (8, 2 ** 63 - 1, 2 ** 63, 2 ** 63 + 4, 10 ** 30 + 3):
         assert _self_overlap(mask, k) == set_overlap(8, cells, k)
 
@@ -184,10 +184,10 @@ def test_fhc_function_values_match_enumeration():
     rep = fhc_witness(spec, 0.35, Fraction(1, 8), f_symbols=(0, 0))
     N, D, shifted = rep.params["N"], rep.objects["D"], rep.objects["shifted"]
     assert N > 2
-    F = padded_symbols(spec, (0, 0), N).to_cells()
+    F = member_cells(padded_symbols(spec, (0, 0), N))
 
     def on_top(top):
-        return F & padded_top(spec, N, top).to_cells()
+        return F & member_cells(padded_top(spec, N, top))
 
     g_cells, bprime_f = on_top(shifted), on_top(D)
     ks = rep.objects["ks"]
@@ -198,7 +198,7 @@ def test_fhc_function_values_match_enumeration():
     assert Fraction(rep.check("function-close").computed) == close
     B = rep.objects["B"]
     assert odometer_pullback_measure(spec, B, 3) == brute_pullback(
-        spec, B.to_cells(), N, 3)
+        spec, member_cells(B), N, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +292,7 @@ def test_repeat_last_list_is_bounded_for_witnesses_and_criteria():
            "measure": {"family": "uniform", "params": {}}}
     spec = SystemSpec.from_config(cfg)
     with pytest.raises(HypothesisUnavailable, match="finite order 8"):
-        translation_witnesses(spec, "single-site", {"epsilon": 0.2})
+        single_site_witness(spec, 0.2)
     odometer = SystemSpec.from_config(dict(cfg, kind="odometer"))
     for name in ("fhc-from-eta-limit", "fhc-from-mixing"):
         v = evaluate(odometer, name, horizon=12)

@@ -358,6 +358,45 @@ def test_cli_src_stops_at_the_scan_budget(gid, tmp_path, capsys):
     assert capsys.readouterr().out.startswith("witness inconclusive: ")
 
 
+# A regression would build a set over a whole alphabet (m_i up to 2^30 on
+# trans-rigid): under this address-space limit it is a MemoryError in the
+# child, not a killed test process.
+LIMITED_CLI = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+from odolab.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("argv,stream,line", [
+    (["orbit", "trans-rigid", "--depth", "5"], "stderr",
+     "error: truncation at depth 5 passes the cap 16777216 at coordinate 4: "
+     "coordinates 1..4 have 1099511627776 cells"),
+    (["orbit", "trans-mixing", "--depth", "13"], "stderr",
+     "error: truncation at depth 13 passes the cap 16777216 at coordinate 5: "
+     "coordinates 1..5 have 1073741824 cells"),
+    (["witness", "trans-rigid", "--name", "translation-fhcsum"], "stdout",
+     "witness inconclusive: fhcsum shifts at site 5 needs 357913942 interval "
+     "sums, past the work budget of 1048576"),
+    (["witness", "trans-rigid", "--name", "translation-ufhcsum"], "stdout",
+     "witness inconclusive: ufhcsum shifts at site 8 needs "
+     "3148244321913096809130 interval sums, past the work budget of 1048576"),
+], ids=["orbit-trans-rigid", "orbit-trans-mixing", "fhcsum", "ufhcsum"])
+def test_cli_whole_alphabets_are_never_built(argv, stream, line, tmp_path):
+    src = os.path.dirname(os.path.dirname(odolab.__file__))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-c", LIMITED_CLI, *argv,
+                           "--out", str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert time.perf_counter() - start < 10
+    assert proc.returncode == 1
+    other = "stdout" if stream == "stderr" else "stderr"
+    assert getattr(proc, stream) == line + "\n"
+    assert getattr(proc, other) == ""
+
+
 STARTUP_PROBE = """
 import json, sys
 from odolab.cli import load_spec, main

@@ -8,13 +8,12 @@ from odolab import gallery, space
 from odolab.errors import CarryOverflow, UnresolvedTail
 from odolab.maps import (InducedBijection, _carry_chain_measure, boundedness,
                          forward_image_measure, kakutani_check, norm_probe,
-                         odometer_add, odometer_pullback_measure,
-                         odometer_step, preimage_cylinder, preimage_measure,
+                         odometer_add, odometer_step, preimage_cylinder, preimage_measure,
                          rn_derivative)
 from odolab.space import (AlphabetRule, DepthSet, RampMeasure, SystemSpec,
                           build_truncation, set_measure)
 
-from conftest import listed_spec, random_listed_vectors
+from conftest import listed_spec, member_cells, random_listed_vectors
 
 
 # ---------------------------------------------------------------------------
@@ -176,44 +175,44 @@ def carry_chain_oracle(spec, factors, k, subtract=False):
     return f0 + f1
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_carry_chain_matches_enumeration(data):
+    # both transports of both maps against per-cell enumeration, on sets
+    # whose factors may be None (the whole alphabet)
     import numpy as np
     rng = np.random.default_rng(data.draw(st.integers(0, 10 ** 6)))
     depth = data.draw(st.integers(2, 5))
     float_coords = data.draw(st.sets(st.integers(1, depth), max_size=2))
     vectors = random_listed_vectors(rng, depth, float_coords)
-    spec = listed_spec("odometer", vectors)
+    kind = data.draw(st.sampled_from(["odometer", "diagonal-translation"]))
+    spec = listed_spec(kind, vectors)
     factors = [set(int(x) for x in
                    rng.choice(len(v), size=max(1, int(rng.integers(1, len(v) + 1))),
                               replace=False))
                for v in vectors]
-    S = DepthSet.product_form(spec, factors)
+    S = DepthSet.product_form(
+        spec, [data.draw(st.sampled_from([None, f])) for f in factors])
     k = data.draw(st.integers(0, 400))
-    # the integer kernel against the per-Fraction chain: equal values of the
-    # same type, so float prefixes agree bit for bit
-    wants = [data.draw(st.sampled_from([None, f])) for f in S.factors]
-    for subtract in (False, True):
-        got = _carry_chain_measure(spec, wants, k, subtract)
-        want = carry_chain_oracle(spec, wants, k, subtract)
-        assert type(got) is type(want) and got == want
+    if kind == "odometer":
+        # the integer kernel against the per-Fraction chain: equal values of
+        # the same type, so float prefixes agree bit for bit
+        for subtract in (False, True):
+            got = _carry_chain_measure(spec, S.factors, k, subtract)
+            want = carry_chain_oracle(spec, S.factors, k, subtract)
+            assert type(got) is type(want) and got == want
     tr = build_truncation(spec, depth)
     bij = InducedBijection(spec, depth)
-    cells = S.to_cells()
+    cells = member_cells(S)
     brute_pull = sum(tr.cell_measure(c) for c in range(tr.cell_count)
                      if bij.forward(c, k) in cells)
     brute_fwd = sum(tr.cell_measure(bij.forward(c, k)) for c in cells)
     if float_coords:
-        assert odometer_pullback_measure(spec, S, k) == pytest.approx(brute_pull)
+        assert preimage_measure(spec, S, k) == pytest.approx(brute_pull)
         assert forward_image_measure(spec, S, k) == pytest.approx(brute_fwd)
         return
-    assert odometer_pullback_measure(spec, S, k) == brute_pull
+    assert preimage_measure(spec, S, k) == brute_pull
     assert forward_image_measure(spec, S, k) == brute_fwd
-    # the enumeration branches on the explicit set agree exactly
-    E = S.explicit()
-    assert forward_image_measure(spec, E, k) == brute_fwd
-    assert preimage_measure(spec, E, k) == brute_pull
 
 
 def test_float_ramp_coordinate_reads_one_vector(monkeypatch):
@@ -245,7 +244,7 @@ def test_float_ramp_coordinate_reads_one_vector(monkeypatch):
 def test_forward_image_preserves_count_not_measure():
     spec = gallery.get_spec("same-measure(2/3,1/3)")
     S = DepthSet.product_form(spec, [{0}, {0}])
-    cells = S.to_cells()
+    cells = member_cells(S)
     bij = InducedBijection(spec, 2)
     image = {bij.forward(c, 1) for c in cells}
     assert len(image) == len(cells)

@@ -11,12 +11,14 @@ from odolab.errors import (CapExceeded, HypothesisUnavailable,
 from odolab.maps import InducedBijection, odometer_pullback_measure
 from odolab.scalars import format_scalar
 from odolab.space import DepthSet, SystemSpec, build_truncation, set_measure
-from odolab.witness import (_band_mass, fhc_witness, find_transitivity_params,
-                            mixing_witness, rigidity_probe, shift_fhc_witness,
-                            src_evaluate, src_search, transitivity_witness,
-                            translation_witnesses, ufhc_count)
+from odolab.witness import (_band_mass, fhc_witness, fhcsum_witness,
+                            find_transitivity_params, mixing_witness,
+                            rigidity_probe, shift_fhc_witness,
+                            single_site_witness, src_evaluate, src_search,
+                            transitivity_witness, translation_hoeffding_witness,
+                            ufhc_count, ufhcsum_witness)
 
-from conftest import listed_spec
+from conftest import listed_spec, member_cells
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +165,7 @@ def test_fhc_transport_matches_enumeration():
     # brute-force the pullback measure on the full truncation for small k
     tr = build_truncation(spec, B.depth)
     bij = InducedBijection(spec, B.depth)
-    cells = B.to_cells()
+    cells = member_cells(B)
     for k in (0, 1, 5):
         brute = sum(tr.cell_measure(c) for c in range(tr.cell_count)
                     if bij.forward(c, k) in cells)
@@ -184,7 +186,7 @@ def test_ufhc_count_blocks():
     B = rep.objects["B"]
     tr = build_truncation(spec, B.depth)
     bij = InducedBijection(spec, B.depth)
-    cells = B.to_cells()
+    cells = member_cells(B)
     recount = 0
     for k in range(1, rep.objects["window"] + 1):
         mass = sum(tr.cell_measure(c) for c in range(tr.cell_count)
@@ -204,8 +206,7 @@ def test_ufhc_count_empty_set():
 
 def test_ufhc_count_hereditary_translation():
     spec = gallery.get_spec("trans-hufhc")
-    rep = translation_witnesses(spec, "ufhcsum",
-                                {"block": 9, "epsilon": 0.2, "along": "evens"})
+    rep = ufhcsum_witness(spec, block=9, epsilon=0.2)
     assert rep.passed
     window = rep.objects["window"]
     assert Fraction(len(rep.objects["hits"]), window) >= Fraction(1, 4)
@@ -256,8 +257,7 @@ def test_src_both_forms_hold_together():
 
 def test_single_site_witness():
     spec = gallery.get_spec("trans-hc")
-    rep = translation_witnesses(spec, "single-site",
-                                {"epsilon": 0.1, "horizon": 14})
+    rep = single_site_witness(spec, epsilon=0.1, horizon=14)
     assert rep.passed
     i, n = rep.objects["site"], rep.objects["n"]
     D = rep.objects["D"]
@@ -271,14 +271,30 @@ def test_degenerate_translation_flagged():
     spec = SystemSpec(kind="diagonal-translation",
                       alphabet=base.alphabet, measure=base.measure)
     with pytest.raises(HypothesisUnavailable, match="degenerate"):
-        translation_witnesses(spec, "single-site", {})
+        single_site_witness(spec)
+
+
+@pytest.mark.parametrize("build", [
+    single_site_witness,
+    lambda spec: translation_hoeffding_witness(spec, [1, 2], n=1),
+    fhcsum_witness,
+    lambda spec: ufhcsum_witness(spec, block=3),
+], ids=["single-site", "hoeffding", "fhcsum", "ufhcsum"])
+def test_translation_constructions_need_infinite_order(build):
+    base = gallery.get_spec("same-measure(1/2,1/3,1/6)")
+    spec = SystemSpec(kind="diagonal-translation",
+                      alphabet=base.alphabet, measure=base.measure)
+    with pytest.raises(HypothesisUnavailable,
+                       match="degenerate: the translation has finite order 3"):
+        build(spec)
+    with pytest.raises(ValueError, match="non-translation spec"):
+        build(base)
 
 
 def test_hoeffding_translation_witness():
     spec = gallery.get_spec("hoeffbis-blocks")
     sites = list(range(25, 49))     # blocks 5 and 6
-    rep = translation_witnesses(spec, "hoeffding",
-                                {"sites": sites, "n": 32, "epsilon": 0.35})
+    rep = translation_hoeffding_witness(spec, sites, n=32, epsilon=0.35)
     assert rep.passed
     assert rep.check("separation").ok
     mu_b = rep.objects["mu_b"]
@@ -287,8 +303,7 @@ def test_hoeffding_translation_witness():
 
 def test_fhcsum_witness():
     spec = gallery.get_spec("trans-fhc")
-    rep = translation_witnesses(spec, "fhcsum",
-                                {"epsilon": 0.2, "horizon": 13})
+    rep = fhcsum_witness(spec, epsilon=0.2, horizon=13)
     assert rep.passed
     assert rep.check("pullback-large").ok
     assert rep.check("pushed-small").ok
