@@ -22,8 +22,8 @@ from . import gallery
 from .errors import (CapExceeded, HypothesisUnavailable,
                      NotFoundWithinHorizon, OdolabError, StrategyInfeasible)
 from .scalars import parse_scalar
-from .space import (ODOMETER, SHIFT, TRANSLATION, DepthSet, SimpleFunction,
-                    SystemSpec, atomless_monitor)
+from .space import (ODOMETER, SHIFT, TRANSLATION, DepthSet, SystemSpec,
+                    atomless_monitor)
 
 ODOMETER_CRITERIA = ["hc-limsup-drop", "hc-limsup-eta", "hc-drop-hoeffding",
                      "mixing-eta", "mixing-kappa", "fhc-odometer",
@@ -169,7 +169,7 @@ WITNESSES = {
     "transitivity": ((ODOMETER,), lambda w, spec, a: w.transitivity_witness(
         spec, a.eps, **a.sampling)),
     "mixing": ((ODOMETER,), lambda w, spec, a: w.mixing_witness(
-        spec, a.eps, k=a.iterate or 10 ** 4, cell_cap=a.cap)),
+        spec, a.eps, k=a.iterate or 10 ** 4)),
     "fhc": ((ODOMETER,), lambda w, spec, a: w.fhc_witness(
         spec, a.eps, a.kappa_param, f_symbols=(0, 0, 0), seed=a.seed)),
     "ufhc-count": ((ODOMETER, TRANSLATION), lambda w, spec, a: w.ufhc_count(
@@ -233,18 +233,18 @@ def cmd_orbit(args, spec: SystemSpec) -> int:
         print(f"orbit drives {ODOMETER} or {TRANSLATION} specs, "
               f"not {spec.kind}", file=sys.stderr)
         return 2
-    from .functions import orbit_trace
+    from .functions import cylinder_orbit
     f_sym = [int(x) for x in args.f.split(",")]
     g_sym = [int(x) for x in args.g.split(",")]
     depth = max(args.depth, len(f_sym), len(g_sym))
 
-    def indicator(symbols):
+    def cylinder(symbols):
         fixed = {i: {s} for i, s in enumerate(symbols, start=1)}
-        return SimpleFunction.indicator(DepthSet.cylinder(spec, depth, fixed))
+        return DepthSet.cylinder(spec, depth, fixed)
 
-    trace = orbit_trace(spec, indicator(f_sym), indicator(g_sym),
-                        epsilon=float(args.epsilon),
-                        p=parse_scalar(args.p), horizon=args.horizon)
+    trace = cylinder_orbit(spec, cylinder(f_sym), cylinder(g_sym),
+                           epsilon=float(args.epsilon),
+                           p=parse_scalar(args.p), horizon=args.horizon)
     out = Path(args.out) / f"orbit-{_slug(args.spec)}.tsv"
     write_tsv(out, trace.to_tsv_rows())
     print(f"visits: {len(trace.visit_set)} / {args.horizon}; "

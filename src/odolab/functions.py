@@ -4,6 +4,9 @@ Everything testable lives in the span of cylinder indicators, so functions are
 finite value tables over a truncation and composition is a permutation of the
 table.  Rational specs give exact p-th powers of norms; the norms themselves
 are exposed as float enclosures since p-th roots are irrational.
+`cylinder_orbit` needs no table: ||C^n 1_F - 1_G||_p^p is mu(map^-n F) +
+mu(G) - 2 mu(G and map^-n F), each from the chain kernel, and on float
+weights it is the exact per-cell sum, rounded once.
 """
 from __future__ import annotations
 
@@ -12,9 +15,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .maps import InducedBijection
+from .maps import InducedBijection, binary_rows, chain_measure, image_overlap
 from .scalars import Scalar, format_scalar, integer_view, is_exact
-from .space import (SimpleFunction, SystemSpec, TruncatedSpace,
+from .space import (DepthSet, SimpleFunction, SystemSpec, TruncatedSpace,
                     build_truncation, float_quotients)
 
 
@@ -111,29 +114,22 @@ def lp_distance(spec: SystemSpec, f: SimpleFunction, g: SimpleFunction,
 
 
 def period_of(spec: SystemSpec, f: SimpleFunction) -> int:
-    """Least d >= 1 with C^d f = f; always divides the bijection order.
-
-    Checked over the divisors of the order, so the cost is a few permutation
-    pulls of _scaled_values' array (of f.values when that is an array).
-    """
+    """Least d >= 1 with C^d f = f, a divisor of the bijection order: a few
+    permutation pulls of _scaled_values' array (of f.values if an array)."""
     import numpy as np
     if not isinstance(f.values, np.ndarray):
         f = SimpleFunction(spec, f.depth, _scaled_values(f.values)[0])
-    for d in sorted(_divisors(InducedBijection(spec, f.depth).order())):
-        if np.array_equal(apply_composition(spec, f, d).values, f.values):
-            return d
-    raise AssertionError("no period found at the bijection order")
+    return _least_period(spec, f.depth, lambda d: np.array_equal(
+        apply_composition(spec, f, d).values, f.values))
 
 
-def _divisors(n: int) -> list:
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            out.append(n // d)
-        d += 1
-    return out
+def _least_period(spec: SystemSpec, depth: int,
+                  fixed: Callable[[int], bool]) -> int:
+    """Least divisor d of the bijection order (the last one) with fixed(d)."""
+    n = InducedBijection(spec, depth).order()
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return next(d for d in sorted({*small, *(n // d for d in small)})
+                if fixed(d))
 
 
 @dataclass
@@ -161,27 +157,15 @@ class OrbitTrace:
         return rows
 
 
-def orbit_trace(spec: SystemSpec, f: SimpleFunction, g: SimpleFunction,
-                epsilon: float, p: Scalar = 1, horizon: int = 64) -> OrbitTrace:
-    """Exact visit set {n <= H : ||C^n f - g||_p < eps} with density diagnostics.
-
-    The eps-ball uses strict inequality.  Densities are #(visits in [1, m])/m;
-    the tail diagnostics are their extremes over the second half of [1, H].
-    f and g become one array over a common scale; each iterate pulls f's
-    array back by index arithmetic and sums its difference from g in _lp_pow.
-    """
+def _trace(spec: SystemSpec, epsilon: float, p: Scalar, horizon: int,
+           lp_pow_at: Callable[[int], Scalar], period: int) -> OrbitTrace:
+    """The visit and density loop over lp_pow_at(n) = ||C^n f - g||_p^p."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    f._check_compatible(g)
-    tr = build_truncation(spec, f.depth)
     pf = float(p)
-    nums, scale = _scaled_values((*f.values, *g.values))
-    f_nums = SimpleFunction(spec, f.depth, nums[:len(f.values)])
-    g_nums = nums[len(f.values):]
     distances, visit_set, running = [], [], []
     for n in range(1, horizon + 1):
-        pulled = apply_composition(spec, f_nums, n).values
-        dpow = _lp_pow(tr, pulled - g_nums, scale, p)
+        dpow = lp_pow_at(n)
         dist = float(dpow) ** (1.0 / pf)
         inside = (dpow < Fraction(epsilon) ** int(pf)
                   if spec.backend == "rational" and is_exact(dpow)
@@ -193,10 +177,50 @@ def orbit_trace(spec: SystemSpec, f: SimpleFunction, g: SimpleFunction,
     tail = running[horizon // 2:]
     return OrbitTrace(spec=spec, epsilon=epsilon, p=p, horizon=horizon,
                       distances=distances, visit_set=visit_set,
-                      running_density=running,
-                      period=period_of(spec, f if scale is None else f_nums),
+                      running_density=running, period=period,
                       tail_density_low=float(min(tail)),
                       tail_density_high=float(max(tail)))
+
+
+def orbit_trace(spec: SystemSpec, f: SimpleFunction, g: SimpleFunction,
+                epsilon: float, p: Scalar = 1, horizon: int = 64) -> OrbitTrace:
+    """Exact visit set {n <= H : ||C^n f - g||_p < eps} with density diagnostics.
+
+    The eps-ball uses strict inequality.  Densities are #(visits in [1, m])/m;
+    the tail diagnostics are their extremes over the second half of [1, H].
+    f and g become one array over a common scale; each iterate pulls f's
+    array back by index arithmetic and sums its difference from g in _lp_pow.
+    """
+    f._check_compatible(g)
+    tr = build_truncation(spec, f.depth)
+    nums, scale = _scaled_values((*f.values, *g.values))
+    f_nums = SimpleFunction(spec, f.depth, nums[:len(f.values)])
+    g_nums = nums[len(f.values):]
+    return _trace(spec, epsilon, p, horizon, lambda n: _lp_pow(
+        tr, apply_composition(spec, f_nums, n).values - g_nums, scale, p),
+        period_of(spec, f if scale is None else f_nums))
+
+
+def cylinder_orbit(spec: SystemSpec, F: DepthSet, G: DepthSet, epsilon: float,
+                   p: Scalar = 1, horizon: int = 64) -> OrbitTrace:
+    """orbit_trace of 1_F against 1_G without cells: float weights enter at
+    their exact binary values, and the period is the least d whose cell
+    count finds map^-d F = F.  build_truncation checks orbit_trace's cap
+    and allocates nothing."""
+    if F.depth != G.depth:
+        raise ValueError("F and G live on different truncations")
+    build_truncation(spec, F.depth)
+    rows, exact = binary_rows(spec, F.depth)
+    mu_g = chain_measure(spec, None, G.factors, 0, rows)
+
+    def lp_pow_at(n: int) -> Scalar:
+        dpow = (chain_measure(spec, None, F.factors, n, rows) + mu_g
+                - 2 * chain_measure(spec, G.factors, F.factors, n, rows))
+        return dpow if exact else float(dpow)
+
+    size = image_overlap(spec, F, 0)
+    return _trace(spec, epsilon, p, horizon, lp_pow_at, _least_period(
+        spec, F.depth, lambda d: image_overlap(spec, F, d) == size))
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,10 @@
 On a depth-N truncation in little-endian mixed radix the odometer is literally
 "+1 mod M_{N+1}" on cell indices, and its k-th iterate is "+k".  The diagonal
 translation adds 1 to every digit independently.  Transports of depth sets
-never enumerate cells: under the translation every factor shifts, and through
-odometer iterates a two-state carry chain suffices, since the probability of
-reaching digit i with a pending carry is all the process needs to remember.
+never enumerate cells: through odometer iterates a two-state carry chain
+suffices, since the probability of reaching digit i with a pending carry is
+all the process needs to remember, and the translation is the same loop
+without a carry.  On rows of ones the kernel counts cells instead.
 """
 from __future__ import annotations
 
@@ -15,9 +16,9 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import CapExceeded, CarryOverflow, UnresolvedTail
-from .scalars import Scalar, format_scalar
+from .scalars import Scalar, format_scalar, integer_view
 from .space import (ODOMETER, SHIFT, TRANSLATION, DepthSet, SystemSpec,
-                    build_truncation, set_measure)
+                    build_truncation)
 
 
 # ---------------------------------------------------------------------------
@@ -69,11 +70,9 @@ def preimage_cylinder(spec: SystemSpec, symbols: Sequence[int]) -> tuple:
     """
     if spec.kind != ODOMETER:
         raise ValueError("preimage_cylinder is an odometer operation")
-    n = len(symbols)
-    ms = [spec.m(i) for i in range(1, n + 1)]
-    for i, (s, m) in enumerate(zip(symbols, ms)):
-        if not 0 <= s < m:
-            raise ValueError("symbol out of range")
+    ms = [spec.m(i) for i in range(1, len(symbols) + 1)]
+    if any(not 0 <= s < m for s, m in zip(symbols, ms)):
+        raise ValueError("symbol out of range")
     out = list(symbols)
     for i, s in enumerate(symbols):
         if s > 0:
@@ -162,84 +161,79 @@ class InducedBijection:
 # exact transports of depth sets
 # ---------------------------------------------------------------------------
 
-def _carry_chain_measure(spec: SystemSpec, factors: Sequence, k: int,
-                         subtract: bool = False) -> Scalar:
-    """mu{ x : (o^k x)_i in S_i for all i <= N }  (or o^-k when subtract);
-    a factor S_i of None is the whole alphabet.
+def chain_measure(spec: SystemSpec, source: Optional[Sequence],
+                  target: Sequence, n: int,
+                  rows: Optional[list] = None) -> Scalar:
+    """mu{x : x_i in source_i and (map^n x)_i in target_i, i <= N}, any sign
+    of n; a None factor is the whole alphabet, a None source the space.
 
-    Forward addition only ever sends a carry upward, so a two-state chain in
-    the carry (or borrow) bit computes the probability exactly in O(N * m).
-    Digits of k beyond depth N cannot influence the first N output digits.
-    On exact specs the chain runs on integer numerators and builds one
-    Fraction at the end; with a float coordinate in the prefix the same loop
-    runs on the scalar weights.
+    A carry (a borrow when n < 0) only moves upward, so a two-state chain
+    in it is exact in O(N * m).  Exact specs run on integer numerators and
+    build one Fraction; a float coordinate runs the scalar weights operation
+    for operation.  Given integer `rows` it runs on those: ones count cells.
     """
-    depth = len(factors)
-    digits = spec.digits_of(k, depth)
-    rows, exact = spec.weight_rows(depth)
+    source = source or (None,) * len(target)
+    rows, exact = ((rows, True) if rows is not None
+                   else spec.weight_rows(len(target)))
+    odometer = spec.kind == ODOMETER
+    # the odometer adds (subtracts when n < 0) the digits of |n| left in rest
+    sign, rest = (-1 if n < 0 and odometer else 1), abs(n)
     zero = 0 if exact else Fraction(0)
-    f0, f1 = (1 if exact else Fraction(1)), zero   # (no carry, carry) pending
-    den = 1
-    for (weights, row_den), want, d in zip(rows, factors, digits):
+    f0, f1, den = zero + 1, zero, 1     # (no carry, carry) pending
+    for (weights, row_den), have, want in zip(rows, source, target):
         m = len(weights)
+        rest, d = divmod(rest, m) if odometer else (rest, n % m)
+        den *= row_den
+        if exact and have is None and want is None and not (
+                odometer and (d or f1)):
+            f0 *= sum(weights)      # no carry can arise: one sum, no loop
+            continue
+        xs = range(m) if have is None else sorted(have)
         g0 = g1 = zero
         for c, fin in ((0, f0), (1, f1)):
             if fin == 0:
                 continue
-            for x in range(m):
-                if subtract:
-                    t = x - d - c
-                    out_digit = t % m
-                    nxt = t < 0
-                else:
-                    t = x + d + c
-                    out_digit = t % m
-                    nxt = t >= m
-                if want is not None and out_digit not in want:
+            step = sign * (d + c)
+            for x in xs:
+                t = x + step
+                out = t % m
+                if want is not None and out not in want:
                     continue
-                if nxt:
+                if out != t and odometer:
                     g1 = g1 + fin * weights[x]
                 else:
                     g0 = g0 + fin * weights[x]
         f0, f1 = g0, g1
-        den *= row_den
     return Fraction(f0 + f1, den) if exact else f0 + f1
 
 
-def odometer_pullback_measure(spec: SystemSpec, S: DepthSet, k: int) -> Scalar:
-    """mu(o^-k(S)), exact at any depth."""
-    return _carry_chain_measure(spec, S.factors, k)
+def binary_rows(spec: SystemSpec, depth: int) -> tuple[list, bool]:
+    """Integer rows with float weights at their exact binary values, and
+    whether every coordinate was exact already."""
+    rows = [spec.integer_weights(i) for i in range(1, depth + 1)]
+    return [r or integer_view([Fraction(w) for w in spec.mu(i)])
+            for i, r in enumerate(rows, start=1)], None not in rows
 
 
-def translation_set_shift(spec: SystemSpec, S: DepthSet, k: int) -> DepthSet:
-    """t^-k(S): every factor shifts down by k mod m_i; whole alphabets stay."""
-    shifted = []
-    for i, f in enumerate(S.factors, start=1):
-        if f is not None:
-            m = spec.m(i)
-            f = frozenset((j - k) % m for j in f)
-        shifted.append(f)
-    return DepthSet.product_form(spec, shifted)
+def image_overlap(spec: SystemSpec, S: DepthSet, n: int) -> int:
+    """Number of depth-N cells of S whose image under map^n lies in S."""
+    ones = [((1,) * spec.m(i), 1) for i in range(1, S.depth + 1)]
+    return int(chain_measure(spec, S.factors, S.factors, n, ones))
 
 
 def preimage_measure(spec: SystemSpec, S: DepthSet, n: int) -> Scalar:
-    """mu(map^-n(S)), exact: a carry chain through the odometer, a shift of
-    every factor under the translation."""
-    if n == 0:
-        return set_measure(spec, S)
-    if spec.kind == ODOMETER:
-        return odometer_pullback_measure(spec, S, n)
-    return set_measure(spec, translation_set_shift(spec, S, n))
+    """mu(map^-n(S)), exact at any depth."""
+    return chain_measure(spec, None, S.factors, n)
+
+
+def odometer_pullback_measure(spec: SystemSpec, S: DepthSet, k: int) -> Scalar:
+    """mu(o^-k(S)): preimage_measure under its odometer name."""
+    return chain_measure(spec, None, S.factors, k)
 
 
 def forward_image_measure(spec: SystemSpec, S: DepthSet, n: int) -> Scalar:
-    """mu(map^n(S)), exact: the odometer's carry chain runs on the borrow,
-    and under the translation every factor shifts up by n."""
-    if n == 0:
-        return set_measure(spec, S)
-    if spec.kind == ODOMETER:
-        return _carry_chain_measure(spec, S.factors, n, subtract=True)
-    return set_measure(spec, translation_set_shift(spec, S, -n))
+    """mu(map^n(S)) = mu(map^-(-n)(S)), exact at any depth."""
+    return chain_measure(spec, None, S.factors, -n)
 
 
 # ---------------------------------------------------------------------------

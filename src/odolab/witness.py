@@ -26,8 +26,8 @@ from .criteria import (alpha_shift, alpha_shift_witness, charge_work,
                        kappa as kappa_seq, omega, theta_witness)
 from .errors import (CapExceeded, HypothesisUnavailable,
                      NotFoundWithinHorizon, StrategyInfeasible, WindowTooSmall)
-from .maps import (forward_image_measure, odometer_pullback_measure,
-                   preimage_measure, translation_set_shift)
+from .maps import (forward_image_measure, image_overlap,
+                   odometer_pullback_measure, preimage_measure)
 from .scalars import Scalar, format_scalar, is_exact
 from .space import (ODOMETER, SHIFT, TRANSLATION, DepthSet, SystemSpec,
                     set_measure)
@@ -501,8 +501,7 @@ def _sampled_disjointness(spec, membership, depth, k, trials, seed,
 # mixing witness (odometer)
 # ---------------------------------------------------------------------------
 
-def mixing_witness(spec: SystemSpec, epsilon: float, k: int,
-                   cell_cap: int = EXHAUSTIVE_CELL_CAP) -> WitnessReport:
+def mixing_witness(spec: SystemSpec, epsilon: float, k: int) -> WitnessReport:
     """Two-coordinate witness disjoint from its k-th image, k past the burn-in.
 
     Needs every shift-disjoint optimum at the top two digit positions of k to
@@ -532,16 +531,11 @@ def mixing_witness(spec: SystemSpec, epsilon: float, k: int,
     if k < k0:
         raise HypothesisUnavailable(f"k={k} is below the burn-in k_0={k0}")
 
-    # top digit position of k
-    digits = []
-    rem = k
-    i = 1
+    # the top digit position l of k and its digit k_l, which is nonzero
+    rem, l = k, 0
     while rem > 0:
-        rem, d = divmod(rem, spec.m(i))
-        digits.append(d)
-        i += 1
-    l = max(t + 1 for t, d in enumerate(digits) if d > 0)
-    k_l = digits[l - 1]
+        l += 1
+        rem, k_l = divmod(rem, spec.m(l))
     m_l = spec.m(l)
 
     v1, d_prime = disjoint_shift_set_zplus(spec, l, k_l)
@@ -565,15 +559,9 @@ def mixing_witness(spec: SystemSpec, epsilon: float, k: int,
     report.add("mass", "mu(B) >= 1 - eps", 1 - epsilon, mu_b, "exact",
                float(mu_b) >= 1 - epsilon - 1e-15)
 
-    cells = spec.cell_count(l + 1)
-    if cells <= cell_cap:
-        overlap = _self_overlap(B.mask(), k)
-        report.add("disjoint", "o^k(B) and B meet nowhere", 0, overlap,
-                   "exact", overlap == 0, cells=cells)
-    else:
-        report.add("disjoint", "o^k(B) and B meet nowhere", 0, "not-enumerated",
-                   "proof-bound", True,
-                   note="carry case analysis; truncation beyond the cell cap")
+    overlap = image_overlap(spec, B, k)
+    report.add("disjoint", "o^k(B) and B meet nowhere", 0, overlap,
+               "exact", overlap == 0, cells=spec.cell_count(l + 1))
     report.objects.update(B=B, l=l, k_l=k_l, D_l=d_l, D_next=d_next,
                           kappas=kappas)
     return report
@@ -661,10 +649,15 @@ def fhc_witness(spec: SystemSpec, epsilon: float, kappa_param,
         ks = list(range(kd + 1))
         coverage = "all-k"
     else:
-        import numpy as np
-        rng = np.random.Generator(np.random.PCG64(seed))
-        ks = sorted({0, 1, kd} | set(
-            int(x) for x in rng.integers(0, kd + 1, size=spot_checks)))
+        if kd < 1 << 63:      # the bound NumPy's int64 draw accepts
+            import numpy as np
+            spots = np.random.Generator(np.random.PCG64(seed)).integers(
+                0, kd + 1, size=spot_checks).tolist()
+        else:       # Python ints from the same seed
+            import random
+            draw = random.Random(seed).randrange
+            spots = [draw(kd + 1) for _ in range(spot_checks)]
+        ks = sorted({0, 1, kd, *spots})
         coverage = f"seeded-spot({len(ks)})"
     # float() is monotone, so every k passes exactly when the worst k does
     worst_small = max(odometer_pullback_measure(spec, B, k) for k in ks)
@@ -796,25 +789,18 @@ def src_search(spec: SystemSpec, epsilon: float, depth_horizon: int = 8,
     """Scan the product-cylinder family for a runaway pair (B, n).
 
     Success requires the complement of B to be small, B to miss its n-th
-    image, and the runaway product to fall below eps; the two forms are
-    checked independently.  Falls back to the concentration witness for
-    odometers (seed and trials drive its sampled rung), and raises
-    NotFoundWithinHorizon when everything fails.
+    image (a cell count of the chain kernel), and the runaway product to
+    fall below eps; the two forms are checked independently.  Falls back to
+    the concentration witness for odometers (seed, trials and cell_cap drive
+    its rungs), and raises NotFoundWithinHorizon when everything fails.
     """
     report = WitnessReport(construction="src-search",
                            params={"epsilon": epsilon,
                                    "depth_horizon": depth_horizon,
                                    "iterate_horizon": iterate_horizon})
 
-    def try_pair(B: DepthSet, comp: Scalar, mask, n: int) -> bool:
-        # mask is None on a translation: B misses its n-th image when some
-        # factor misses its own shift
-        if mask is None:
-            back = translation_set_shift(spec, B, -n)
-            if all(a is None or a & b
-                   for a, b in zip(B.factors, back.factors)):
-                return False
-        elif _self_overlap(mask, n):
+    def try_pair(B: DepthSet, comp: Scalar, n: int) -> bool:
+        if image_overlap(spec, B, n):
             return False
         vals = src_evaluate(spec, B, n)
         if float(vals["product"]) >= epsilon:
@@ -839,21 +825,16 @@ def src_search(spec: SystemSpec, epsilon: float, depth_horizon: int = 8,
             comp = 1 - set_measure(spec, B)
             if float(comp) >= epsilon:
                 continue
-            if spec.kind == TRANSLATION:
-                mask, iter_set = None, range(1, iterate_horizon + 1)
-            elif spec.cell_count(depth) > cell_cap:
-                continue
-            else:
-                mask = B.mask()
-                base = spec.radix_weights(depth)[depth - 1]
-                iter_set = [j * base for j in range(1, spec.m(depth))]
-            for n in iter_set:
-                if try_pair(B, comp, mask, n):
+            base = spec.radix_weights(depth)[depth - 1]
+            for n in (range(1, iterate_horizon + 1)
+                      if spec.kind == TRANSLATION
+                      else range(base, base * spec.m(depth), base)):
+                if try_pair(B, comp, n):
                     return report
     if spec.kind == ODOMETER:
         try:
             tw = transitivity_witness(spec, epsilon / 3, trials=trials,
-                                      seed=seed)
+                                      seed=seed, cell_cap=cell_cap)
         except StrategyInfeasible:
             tw = None
         if tw is not None and tw.passed:

@@ -6,9 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from odolab import gallery
 from odolab.functions import (_scaled_values, apply_composition,
-                              exp_minus_one_gauge, lp_distance, lp_norm,
-                              lp_norm_pow, orbit_trace, orlicz_indicator_norm,
-                              period_of, power_gauge)
+                              cylinder_orbit, exp_minus_one_gauge, lp_distance,
+                              lp_norm, lp_norm_pow, orbit_trace,
+                              orlicz_indicator_norm, period_of, power_gauge)
 from odolab.maps import InducedBijection, boundedness, preimage_cylinder
 from odolab.scalars import integer_view
 from odolab.space import DepthSet, SimpleFunction
@@ -238,6 +238,48 @@ def test_norms_and_orbits_match_per_cell_definition(data):
         assert_same_scalar(
             lp_distance(spec, SimpleFunction(spec, depth, pulled), g, p), dist)
         assert (n in trace.visit_set) == inside
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_cylinder_orbit_matches_orbit_trace(data):
+    import numpy as np
+    rng = np.random.default_rng(data.draw(st.integers(0, 10 ** 6)))
+    kind = data.draw(st.sampled_from(["odometer", "diagonal-translation"]))
+    depth = data.draw(st.integers(1, 4))
+    float_coords = data.draw(st.sets(st.integers(1, depth), max_size=2))
+    vectors = random_listed_vectors(rng, depth, float_coords)
+    spec = listed_spec(kind, vectors)
+
+    def cylinder():
+        return DepthSet.product_form(spec, [
+            None if data.draw(st.booleans()) else
+            rng.choice(len(v), size=int(rng.integers(1, len(v) + 1)),
+                       replace=False).tolist()
+            for v in vectors])
+
+    F, G = cylinder(), cylinder()
+    p = data.draw(st.sampled_from([1, 2, Fraction(3, 2)]))
+    # thresholds no distance over the denominators 360^depth lands on
+    eps = data.draw(st.sampled_from([0.2345678, 0.5432109, 0.8765432]))
+    want = orbit_trace(spec, SimpleFunction.indicator(F),
+                       SimpleFunction.indicator(G), eps, p, horizon=8)
+    got = cylinder_orbit(spec, F, G, eps, p, horizon=8)
+    assert got.period == want.period
+    if not float_coords and p == int(p):
+        assert got.to_tsv_rows() == want.to_tsv_rows()
+        return
+    assert got.visit_set == want.visit_set
+    assert got.running_density == want.running_density
+    for a, b in zip(got.distances, want.distances):
+        assert math.isclose(a, b, rel_tol=1e-15, abs_tol=0)
+
+
+def test_cylinder_orbit_needs_one_depth(binary_uniform):
+    F = DepthSet.basic_cylinder(binary_uniform, (0,))
+    G = DepthSet.basic_cylinder(binary_uniform, (0, 1))
+    with pytest.raises(ValueError):
+        cylinder_orbit(binary_uniform, F, G, 0.1)
 
 
 def test_orlicz_indicator_norms():

@@ -412,7 +412,11 @@ out = sys.argv[1]
 assert main(["classify", "trans-hc", "--out", out]) == 0
 assert main(["sequences", "binary-alpha(2)", "--horizon", "50",
              "--out", out]) == 0
-print(json.dumps({"specs_built": specs_built, "commands_run": loaded("odolab"),
+commands_run = loaded("odolab")
+assert main(["orbit", "trans-hc", "--out", out]) == 0
+assert main(["orbit", "hc-not-mixing", "--depth", "8", "--horizon", "64",
+             "--out", out]) == 0
+print(json.dumps({"specs_built": specs_built, "commands_run": commands_run,
                   "numpy": loaded("numpy")[:3]}))
 """
 
@@ -441,6 +445,20 @@ def test_cli_witness_fhc(tmp_path):
     assert doc["passed"] is True
     methods = {c["name"]: c["method"] for c in doc["checks"]}
     assert methods["pullback-small-all-k"] == "proof-bound"
+
+
+def test_cli_witness_fhc_spot_sample_past_int64(tmp_path):
+    # N = 122 on fhc-not-mixing, so kappa d has 124 bits: the spots are
+    # Python ints from the seed, not NumPy's int64 draw
+    code = main(["witness", "fhc-not-mixing", "--name", "fhc", "--epsilon",
+                 "0.05", "--kappa", "1/8", "--out", str(tmp_path)])
+    assert code == 0
+    doc = json.loads(
+        (tmp_path / "witness-fhc-fhc-not-mixing.json").read_text())
+    assert doc["passed"] is True
+    assert doc["params"]["d"].bit_length() > 63
+    coverage = {c["name"]: c.get("coverage") for c in doc["checks"]}
+    assert coverage["pullback-small-transport"] == "seeded-spot(1003)"
 
 
 def test_cli_witness_fhc_past_the_depth_of_f(tmp_path):
@@ -529,6 +547,74 @@ def test_cli_orbit_trans_rigid_ends(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[0] == "visits: 2 / 8; period of f: 4"
     assert (tmp_path / "orbit-trans-rigid.tsv").read_bytes() == TRANS_RIGID_ORBIT
+
+
+# orbit_trace over the 2^20 cells of depth 4 wrote these bytes in about 10 s
+TRANS_MIXING_ORBIT = b"""n\tdistance\tvisited\trunning_density
+1\t0.5\t0\t0
+2\t0.5\t0\t0
+3\t0\t1\t1/3
+4\t0.5\t0\t1/4
+5\t0.5\t0\t1/5
+6\t0.5\t0\t1/6
+7\t0\t1\t2/7
+8\t0.5\t0\t1/4
+9\t0.5\t0\t2/9
+10\t0.5\t0\t1/5
+11\t0\t1\t3/11
+12\t0.5\t0\t1/4
+13\t0.5\t0\t3/13
+14\t0.5\t0\t3/14
+15\t0\t1\t4/15
+16\t0.5\t0\t1/4
+17\t0.5\t0\t4/17
+18\t0.5\t0\t2/9
+19\t0\t1\t5/19
+20\t0.5\t0\t1/4
+21\t0.5\t0\t5/21
+22\t0.5\t0\t5/22
+23\t0\t1\t6/23
+24\t0.5\t0\t1/4
+25\t0.5\t0\t6/25
+26\t0.5\t0\t3/13
+27\t0\t1\t7/27
+28\t0.5\t0\t1/4
+29\t0.5\t0\t7/29
+30\t0.5\t0\t7/30
+31\t0\t1\t8/31
+32\t0.5\t0\t1/4
+33\t0.5\t0\t8/33
+34\t0.5\t0\t4/17
+35\t0\t1\t9/35
+36\t0.5\t0\t1/4
+37\t0.5\t0\t9/37
+38\t0.5\t0\t9/38
+39\t0\t1\t10/39
+40\t0.5\t0\t1/4
+41\t0.5\t0\t10/41
+42\t0.5\t0\t5/21
+43\t0\t1\t11/43
+44\t0.5\t0\t1/4
+45\t0.5\t0\t11/45
+46\t0.5\t0\t11/46
+47\t0\t1\t12/47
+48\t0.5\t0\t1/4
+49\t0.5\t0\t12/49
+50\t0.5\t0\t6/25
+"""
+
+
+def test_cli_orbit_trans_mixing_default(tmp_path):
+    src = os.path.dirname(os.path.dirname(odolab.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "odolab.cli", "orbit",
+                           "trans-mixing", "--out", str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert time.perf_counter() - start < 2
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == "visits: 12 / 50; period of f: 4"
+    assert (tmp_path / "orbit-trans-mixing.tsv").read_bytes() == TRANS_MIXING_ORBIT
 
 
 @pytest.mark.parametrize("gid", ["shift-z", "shift-zplus"])

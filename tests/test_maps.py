@@ -6,9 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from odolab import gallery, space
 from odolab.errors import CarryOverflow, UnresolvedTail
-from odolab.maps import (InducedBijection, _carry_chain_measure, boundedness,
-                         forward_image_measure, kakutani_check, norm_probe,
-                         odometer_add, odometer_step, preimage_cylinder, preimage_measure,
+from odolab.maps import (InducedBijection, binary_rows, boundedness,
+                         chain_measure, forward_image_measure, image_overlap,
+                         kakutani_check, norm_probe, odometer_add,
+                         odometer_step, preimage_cylinder, preimage_measure,
                          rn_derivative)
 from odolab.space import (AlphabetRule, DepthSet, RampMeasure, SystemSpec,
                           build_truncation, set_measure)
@@ -193,12 +194,15 @@ def test_carry_chain_matches_enumeration(data):
                for v in vectors]
     S = DepthSet.product_form(
         spec, [data.draw(st.sampled_from([None, f])) for f in factors])
+    R = DepthSet.product_form(
+        spec, [data.draw(st.sampled_from([None, {0}, {0, len(v) - 1}]))
+               for v in vectors])
     k = data.draw(st.integers(0, 400))
     if kind == "odometer":
         # the integer kernel against the per-Fraction chain: equal values of
         # the same type, so float prefixes agree bit for bit
         for subtract in (False, True):
-            got = _carry_chain_measure(spec, S.factors, k, subtract)
+            got = chain_measure(spec, None, S.factors, -k if subtract else k)
             want = carry_chain_oracle(spec, S.factors, k, subtract)
             assert type(got) is type(want) and got == want
     tr = build_truncation(spec, depth)
@@ -207,12 +211,39 @@ def test_carry_chain_matches_enumeration(data):
     brute_pull = sum(tr.cell_measure(c) for c in range(tr.cell_count)
                      if bij.forward(c, k) in cells)
     brute_fwd = sum(tr.cell_measure(bij.forward(c, k)) for c in cells)
+    # a source set and rows of ones against DepthSet.mask enumeration; the
+    # exact binary rows against the per-cell Fraction products
+    binary, _ = binary_rows(spec, depth)
+    for n in (k, -k):
+        meet = [c for c in member_cells(R) if bij.forward(c, n) in cells]
+        assert (image_overlap(spec, S, n)
+                == len(cells & {bij.forward(c, n) for c in cells}))
+        assert chain_measure(spec, R.factors, S.factors, n, [
+            ((1,) * len(v), 1) for v in vectors]) == len(meet)
+        exact_meet = sum((per_cell_fraction(vectors, tr.digits(c))
+                          for c in meet), Fraction(0))
+        got = chain_measure(spec, R.factors, S.factors, n, binary)
+        assert got == exact_meet       # so float(got) rounds the exact sum
+        brute_meet = sum(tr.cell_measure(c) for c in meet)
+        if float_coords:
+            assert (chain_measure(spec, R.factors, S.factors, n)
+                    == pytest.approx(brute_meet))
+        else:
+            assert chain_measure(spec, R.factors, S.factors, n) == brute_meet
     if float_coords:
         assert preimage_measure(spec, S, k) == pytest.approx(brute_pull)
         assert forward_image_measure(spec, S, k) == pytest.approx(brute_fwd)
         return
     assert preimage_measure(spec, S, k) == brute_pull
     assert forward_image_measure(spec, S, k) == brute_fwd
+
+
+def per_cell_fraction(vectors, digits) -> Fraction:
+    """The exact measure of one cell: float weights at their binary values."""
+    out = Fraction(1)
+    for v, d in zip(vectors, digits):
+        out *= Fraction(v[d])
+    return out
 
 
 def test_float_ramp_coordinate_reads_one_vector(monkeypatch):
@@ -237,7 +268,7 @@ def test_float_ramp_coordinate_reads_one_vector(monkeypatch):
     want = [set(range(0, m, 3))]
     for k in (1, 550, 1099):
         for subtract in (False, True):
-            assert (_carry_chain_measure(spec, want, k, subtract)
+            assert (chain_measure(spec, None, want, -k if subtract else k)
                     == carry_chain_oracle(spec, want, k, subtract))
 
 
