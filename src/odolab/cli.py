@@ -384,8 +384,9 @@ def build_parser() -> argparse.ArgumentParser:
                 "epsilon", "kappa")
     p.add_argument("--name", required=True, choices=list(WITNESSES),
                    metavar="NAME")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--trials", type=int, default=None)
+    p.add_argument("--seed", type=checked(int, lambda v: v >= 0,
+                                          "an integer >= 0"), default=None)
+    p.add_argument("--trials", type=positive_int, default=None)
     p.add_argument("--cap", type=int, default=None)
     p.add_argument("--iterate", type=int, default=None)
     p = command("orbit", cmd_orbit, "orbit trace of a cylinder indicator",

@@ -6,13 +6,17 @@ translation adds 1 to every digit independently.  Transports of depth sets
 never enumerate cells: through odometer iterates a two-state carry chain
 suffices, since the probability of reaching digit i with a pending carry is
 all the process needs to remember, and the translation is the same loop
-without a carry.  On rows of ones the kernel counts cells instead.
+without a carry.  On rows of ones the kernel counts cells instead.  The chain
+is a pass that can stop after any coordinate and resume, so transports that
+share a prefix run it once; on integer rows a coordinate both sets leave free
+costs slice sums instead of a loop over its symbols.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from typing import Optional, Sequence
 
 from .errors import CapExceeded, CarryOverflow, UnresolvedTail
@@ -172,21 +176,37 @@ def chain_measure(spec: SystemSpec, source: Optional[Sequence],
     build one Fraction; a float coordinate runs the scalar weights operation
     for operation.  Given integer `rows` it runs on those: ones count cells.
     """
-    source = source or (None,) * len(target)
     rows, exact = ((rows, True) if rows is not None
                    else spec.weight_rows(len(target)))
+    f0, f1, den, _ = chain_pass(spec, rows, exact, source, target, n)
+    return Fraction(f0 + f1, den) if exact else f0 + f1
+
+
+def chain_pass(spec: SystemSpec, rows: list, exact: bool,
+               source: Optional[Sequence], target: Sequence, n: int,
+               state: Optional[tuple] = None) -> tuple:
+    """chain_measure's chain over `rows`; returns the state (f0, f1, den,
+    rest): the masses with no carry and with a carry pending, the denominator
+    so far and the digits of |n| still to add.  Passed back as `state` with
+    the next rows, it resumes the chain.  On integer rows a free coordinate
+    folds: the carry out of state c is the mass of the top d + c symbols, a
+    borrow that of the bottom d + c."""
     odometer = spec.kind == ODOMETER
-    # the odometer adds (subtracts when n < 0) the digits of |n| left in rest
-    sign, rest = (-1 if n < 0 and odometer else 1), abs(n)
+    sign = -1 if n < 0 and odometer else 1
     zero = 0 if exact else Fraction(0)
-    f0, f1, den = zero + 1, zero, 1     # (no carry, carry) pending
-    for (weights, row_den), have, want in zip(rows, source, target):
+    f0, f1, den, rest = state or (zero + 1, zero, 1, abs(n))
+    for (weights, row_den), have, want in zip(rows, source or repeat(None),
+                                              target):
         m = len(weights)
         rest, d = divmod(rest, m) if odometer else (rest, n % m)
         den *= row_den
-        if exact and have is None and want is None and not (
-                odometer and (d or f1)):
-            f0 *= sum(weights)      # no carry can arise: one sum, no loop
+        if exact and have is None and want is None:
+            total = sum(weights)
+            o0, o1 = ((sum(weights[m - d - c:]) if sign > 0
+                       else sum(weights[:d + c])) if odometer else 0
+                      for c in (0, 1))
+            f0, f1 = (f0 * (total - o0) + f1 * (total - o1),
+                      f0 * o0 + f1 * o1)
             continue
         xs = range(m) if have is None else sorted(have)
         g0 = g1 = zero
@@ -204,7 +224,7 @@ def chain_measure(spec: SystemSpec, source: Optional[Sequence],
                 else:
                     g0 = g0 + fin * weights[x]
         f0, f1 = g0, g1
-    return Fraction(f0 + f1, den) if exact else f0 + f1
+    return f0, f1, den, rest
 
 
 def binary_rows(spec: SystemSpec, depth: int) -> tuple[list, bool]:

@@ -26,8 +26,8 @@ from .criteria import (alpha_shift, alpha_shift_witness, charge_work,
                        kappa as kappa_seq, omega, theta_witness)
 from .errors import (CapExceeded, HypothesisUnavailable,
                      NotFoundWithinHorizon, StrategyInfeasible, WindowTooSmall)
-from .maps import (forward_image_measure, image_overlap,
-                   odometer_pullback_measure, preimage_measure)
+from .maps import (chain_pass, forward_image_measure, image_overlap,
+                   preimage_measure)
 from .scalars import Scalar, format_scalar, is_exact
 from .space import (ODOMETER, SHIFT, TRANSLATION, DepthSet, SystemSpec,
                     set_measure)
@@ -436,7 +436,8 @@ def _self_overlap(mask: np.ndarray, k: int) -> int:
     return int(np.count_nonzero(mask & np.roll(mask, -k)))
 
 
-_SAMPLE_BLOCK = 4096      # points per draw; holds a draw to 4096 x depth floats
+_SAMPLE_BLOCK = 4096      # points per membership test and carry
+_DRAW_ROWS = 256          # points per draw: 256 x depth floats at a time
 
 
 def _sample_thresholds(spec: SystemSpec, depth: int) -> np.ndarray:
@@ -463,28 +464,34 @@ def _sampled_disjointness(spec, membership, depth, k, trials, seed,
     """Seeded sampling from mu; returns (violations, example points).
 
     Each chunk of trials has its own spawned PCG64 stream.  Its uniforms are
-    drawn _SAMPLE_BLOCK rows at a time; PCG64 fills row by row, so the blocks
-    are the rows of one (size, depth) draw.  Digits come from comparisons
-    against the cdf thresholds and are held depth-major.
+    drawn _DRAW_ROWS rows at a time into one buffer; PCG64 fills row by row,
+    so the draws are the rows of one (size, depth) draw.  Digits come from
+    comparisons against the cdf thresholds and are held depth-major.
     """
     import numpy as np
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     child_seeds = np.random.SeedSequence(seed).spawn(
         (trials + chunk - 1) // chunk)
     thresholds = _sample_thresholds(spec, depth)
     dtype = _digit_dtype(spec, depth)
     moduli = [spec.m(i) for i in range(1, depth + 1)]
     k_digits = spec.digits_of(k, depth)
+    buf = np.empty((_DRAW_ROWS, depth))
     violations = 0
     examples = []
     for c, child in enumerate(child_seeds):
         rng = np.random.Generator(np.random.PCG64(child))
         size = min(chunk, trials - c * chunk)
         for start in range(0, size, _SAMPLE_BLOCK):
-            u = rng.random((min(_SAMPLE_BLOCK, size - start), depth))
-            digits = np.zeros(u.shape, dtype=dtype)
-            for row in thresholds:
-                digits += u >= row
-            digits = np.ascontiguousarray(digits.T)
+            points = min(_SAMPLE_BLOCK, size - start)
+            digits = np.empty((depth, points), dtype=dtype)
+            for lo in range(0, points, _DRAW_ROWS):
+                u = rng.random(out=buf[:points - lo])
+                drawn = np.zeros(u.shape, dtype=dtype)
+                for row in thresholds:
+                    drawn += u >= row
+                digits[:, lo:lo + len(u)] = drawn.T
             in_b = membership(digits)
             if not in_b.any():
                 continue
@@ -659,10 +666,31 @@ def fhc_witness(spec: SystemSpec, epsilon: float, kappa_param,
             spots = [draw(kd + 1) for _ in range(spot_checks)]
         ks = sorted({0, 1, kd, *spots})
         coverage = f"seeded-spot({len(ks)})"
+    # every set fixes N and at most F's coordinates below it: one chain per
+    # k and prefix over 1..N-1, resumed at N; n = j M_N has no digit below
+    # N, so n + k resumes k's chain with j more to add
+    rows, exact = spec.weight_rows(N)
+
+    def resume(state, n, want, more=0):
+        f0, f1, den, _ = chain_pass(spec, rows[-1:], exact, None, (want,), n,
+                                    state[:3] + (state[3] + more,))
+        return Fraction(f0 + f1, den) if exact else f0 + f1
+
+    small, large, g_small, g_large = [], [], [], []
+    for k in ks:
+        state = chain_pass(spec, rows[:-1], exact, None, B.factors[:-1], k)
+        small.append(resume(state, k, shifted))
+        large.append(resume(state, n_iter + k, shifted, j))
+        if f_symbols is not None:
+            # C^k g indicates o^-k(B and F), and C^(n+k) g o^-k(B' and F)
+            # because o^-n fixes F (n is a multiple of its period) and sends
+            # B to B'
+            state = chain_pass(spec, rows[:-1], exact, None,
+                               f_set.factors[:-1], k)
+            g_small.append(resume(state, k, shifted))
+            g_large.append(resume(state, k, None) - resume(state, k, D))
     # float() is monotone, so every k passes exactly when the worst k does
-    worst_small = max(odometer_pullback_measure(spec, B, k) for k in ks)
-    worst_large = min(odometer_pullback_measure(spec, B, n_iter + k)
-                      for k in ks)
+    worst_small, worst_large = max(small), min(large)
     agree_ok = (float(worst_small) <= float(small_bound) + 1e-15
                 and float(worst_large) >= float(large_bound) - 1e-15)
     report.add("pullback-small-transport", "exact transports <= eps",
@@ -675,14 +703,7 @@ def fhc_witness(spec: SystemSpec, epsilon: float, kappa_param,
                "bounds", "ok" if agree_ok else "violated", "exact", agree_ok)
 
     if f_symbols is not None:
-        # C^(n+k) g is the indicator of o^-k(B' and F) because o^-n fixes F
-        # (n is a multiple of its period) and sends B to B'
-        bf = DepthSet.cylinder(spec, N, {**f_fixed, N: shifted})
-        bprime_f = DepthSet.cylinder(spec, N, {**f_fixed, N: D})
-        worst_g_small = max(odometer_pullback_measure(spec, bf, k) for k in ks)
-        worst_g_large = max(odometer_pullback_measure(spec, f_set, k)
-                            - odometer_pullback_measure(spec, bprime_f, k)
-                            for k in ks)
+        worst_g_small, worst_g_large = max(g_small), max(g_large)
         report.add("function-small", "||C^k g||_1 <= eps for k <= kappa d",
                    epsilon, worst_g_small, "exact",
                    float(worst_g_small) <= epsilon + 1e-15, coverage=coverage)

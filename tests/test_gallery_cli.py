@@ -225,6 +225,13 @@ def test_cli_malformed_config_exits_two(tmp_path, capsys, cfg, reason):
     "sequences fhc-binary --horizon 3 --kappa 2",
     "sequences fhc-binary --horizon 3 --kappa 0.5x",
     "witness fhc-binary --name fhc --kappa 3",
+    "witness binary-alpha(1/4) --name transitivity --trials 0",
+    "witness binary-alpha(1/4) --name transitivity --trials -5",
+    "witness fhc-binary --name src --trials 0",
+    "witness fhc-binary --name src --trials -5",
+    "witness binary-alpha(1/4) --name transitivity --seed -1",
+    "witness fhc-binary --name src --seed -1",
+    "witness fhc-binary --name fhc --seed -1",
 ])
 def test_cli_bad_flag_values_exit_two(argv, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -7,10 +7,10 @@ from hypothesis import given, settings, strategies as st
 from odolab import gallery, space
 from odolab.errors import CarryOverflow, UnresolvedTail
 from odolab.maps import (InducedBijection, binary_rows, boundedness,
-                         chain_measure, forward_image_measure, image_overlap,
-                         kakutani_check, norm_probe, odometer_add,
-                         odometer_step, preimage_cylinder, preimage_measure,
-                         rn_derivative)
+                         chain_measure, chain_pass, forward_image_measure,
+                         image_overlap, kakutani_check, norm_probe,
+                         odometer_add, odometer_step, preimage_cylinder,
+                         preimage_measure, rn_derivative)
 from odolab.space import (AlphabetRule, DepthSet, RampMeasure, SystemSpec,
                           build_truncation, set_measure)
 
@@ -244,6 +244,72 @@ def per_cell_fraction(vectors, digits) -> Fraction:
     for v, d in zip(vectors, digits):
         out *= Fraction(v[d])
     return out
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_chain_pass_resumes_and_folds(data):
+    # a pass stopped at any coordinate and resumed is one uninterrupted
+    # pass; on integer rows the slice-sum fold of a coordinate both sets
+    # leave free is the symbol loop over the whole alphabet listed
+    import numpy as np
+    rng = np.random.default_rng(data.draw(st.integers(0, 10 ** 6)))
+    depth = data.draw(st.integers(1, 5))
+    float_coords = data.draw(st.sets(st.integers(1, depth), max_size=2))
+    vectors = random_listed_vectors(rng, depth, float_coords)
+    kind = data.draw(st.sampled_from(["odometer", "diagonal-translation"]))
+    spec = listed_spec(kind, vectors)
+    ms = [len(v) for v in vectors]
+
+    def factors():
+        return [data.draw(st.sampled_from(
+            [None, None, frozenset({0}), frozenset({m - 1}),
+             frozenset(range(1, m))])) for m in ms]
+
+    target = factors()
+    source = data.draw(st.sampled_from([None, factors()]))
+    # digits 0 and m - 1 often, so carries and borrows stay pending
+    digits = [data.draw(st.sampled_from([0, m - 1]) | st.integers(0, m - 1))
+              for m in ms]
+    n = sum(d * w for d, w in zip(digits, spec.radix_weights(depth)))
+    n += data.draw(st.integers(0, 2)) * spec.cell_count(depth)
+    n *= data.draw(st.sampled_from([1, -1]))
+    rows, exact = spec.weight_rows(depth)
+    whole = chain_pass(spec, rows, exact, source, target, n)
+    got = chain_measure(spec, source, target, n)
+    assert got == (Fraction(whole[0] + whole[1], whole[2]) if exact
+                   else whole[0] + whole[1])
+    if kind == "odometer" and source is None:
+        want = carry_chain_oracle(spec, target, abs(n), n < 0)
+        assert type(got) is type(want) and got == want
+    src = source or (None,) * depth
+    for cut in range(depth + 1):
+        head = chain_pass(spec, rows[:cut], exact, src[:cut], target[:cut], n)
+        resumed = chain_pass(spec, rows[cut:], exact, src[cut:],
+                             target[cut:], n, head)
+        assert resumed == whole
+        assert [type(x) for x in resumed] == [type(x) for x in whole]
+    listed = [frozenset(range(m)) if f is None else f
+              for m, f in zip(ms, src)]
+    for integer_rows in (binary_rows(spec, depth)[0],
+                         [((1,) * m, 1) for m in ms]):
+        assert (chain_pass(spec, integer_rows, True, source, target, n)
+                == chain_pass(spec, integer_rows, True, listed, target, n))
+
+
+@pytest.mark.parametrize("kind", ["odometer", "diagonal-translation"])
+def test_chain_fold_at_the_top_digit(kind):
+    # every digit of |n| is m - 1, so from the second coordinate on a carry
+    # (a borrow when n < 0) is pending with d + c = m: the whole row carries
+    spec = listed_spec(kind, [[Fraction(1, 6), Fraction(2, 6), Fraction(3, 6)],
+                              [Fraction(3, 10), Fraction(7, 10)],
+                              [Fraction(1, 4)] * 4])
+    rows, exact = spec.weight_rows(3)
+    listed = [frozenset(range(m)) for m in (3, 2, 4)]
+    for n in (23, -23, 24, -24, 1, -1):
+        free = chain_pass(spec, rows, exact, None, (None,) * 3, n)
+        assert free == chain_pass(spec, rows, exact, listed, (None,) * 3, n)
+        assert Fraction(free[0] + free[1], free[2]) == 1
 
 
 def test_float_ramp_coordinate_reads_one_vector(monkeypatch):

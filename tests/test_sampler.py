@@ -15,8 +15,9 @@ from hypothesis import given, settings, strategies as st
 
 from odolab import gallery
 from odolab.space import ODOMETER
-from odolab.witness import (TransitivityPlan, _TransitivityMembership,
-                            _add_iterate, _digit_matrix_from_indices,
+from odolab.witness import (_DRAW_ROWS, _SAMPLE_BLOCK, TransitivityPlan,
+                            _TransitivityMembership, _add_iterate,
+                            _digit_matrix_from_indices,
                             _exhaustive_disjointness, _sample_thresholds,
                             _sampled_disjointness, find_transitivity_params)
 
@@ -266,3 +267,47 @@ def test_sampled_rung_on_gallery_plans(gid, eps):
         got = _sampled_disjointness(spec, new, plan.depth, k, 5000, 3)
         assert got == row_sampled(spec, old, plan.depth, k, 5000, 3)
         assert got[0] > 0
+
+
+def test_sampled_rung_across_blocks_and_draw_chunks():
+    # 9000 points: three 4096-point blocks, the last one partial, and a
+    # count that no whole number of 256-row draws makes
+    assert 9000 > 2 * _SAMPLE_BLOCK and 9000 % _DRAW_ROWS
+    spec = gallery.get_spec("hc-not-mixing")
+    plan = find_transitivity_params(spec, 0.2)
+    radix = spec.radix_weights(plan.depth)
+    k = sum(s * radix[i - 1] for i, s in zip(plan.indices, plan.shifts))
+    new, old = memberships(spec, plan, 0, plan.count)
+    got = _sampled_disjointness(spec, new, plan.depth, k, 9000, 21)
+    assert got == row_sampled(spec, old, plan.depth, k, 9000, 21)
+    assert got[0] > 0
+
+
+def test_sampled_rung_peak_memory_is_bounded():
+    # binary-alpha(1/3)'s plan reaches depth 688: one 4096 x 688 draw of
+    # float64 is 21.5 MiB, and two were live at once before draws went
+    # through one buffer of _DRAW_ROWS rows
+    import tracemalloc
+    spec = gallery.get_spec("binary-alpha(1/3)")
+    plan = find_transitivity_params(spec, 0.1)
+    assert plan.depth == 688
+    membership = _TransitivityMembership(spec, plan, 0, plan.count)
+    tracemalloc.start()
+    try:
+        _sampled_disjointness(spec, membership, plan.depth, 1, 8192, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2 ** 20
+
+
+@pytest.mark.parametrize("trials", [0, -5])
+def test_sampled_rung_needs_a_trial(trials):
+    spec = listed_spec(ODOMETER, [[Fraction(1, 2)] * 2])
+    plan = TransitivityPlan(offset=0, count=1, indices=(1,), drops=(),
+                            sets=(frozenset({0}),), shifts=(1,),
+                            band_masses=(), gap_sum=Fraction(0),
+                            hoeffding_bound=0.0)
+    new, _ = memberships(spec, plan, 1, 1)
+    with pytest.raises(ValueError, match="trials"):
+        _sampled_disjointness(spec, new, 1, 1, trials, 0)

@@ -158,6 +158,45 @@ def test_fhc_period_adjustment():
     assert rep.passed
 
 
+@pytest.mark.parametrize("gid,eps,kappa,coverage", [
+    ("fhc-binary", 0.2, Fraction(1, 8), "all-k"),
+    ("fhc-binary", 0.1, Fraction(1, 5), "seeded-spot"),
+    ("fhc-not-mixing", 0.6, Fraction(1, 8), "all-k"),
+    ("fhc-not-mixing", 0.1, Fraction(1, 5), "seeded-spot"),
+])
+@pytest.mark.parametrize("f_symbols", [None, (0, 0, 0)])
+def test_fhc_transports_match_direct_pullbacks(gid, eps, kappa, coverage,
+                                               f_symbols):
+    # the shared prefix passes against one whole transport per set and k
+    spec = gallery.get_spec(gid)
+    rep = fhc_witness(spec, eps, kappa, f_symbols=f_symbols, spot_checks=24)
+    N, n, ks = rep.params["N"], rep.params["n"], rep.objects["ks"]
+    B = rep.objects["B"]
+    assert rep.check("pullback-small-transport").extras["coverage"].startswith(
+        coverage)
+
+    def pull(S, k):
+        return odometer_pullback_measure(spec, S, k)
+
+    def computed(name):
+        return rep.check(name).computed
+
+    assert computed("pullback-small-transport") == format_scalar(
+        max(pull(B, k) for k in ks))
+    assert computed("pullback-large-transport") == format_scalar(
+        min(pull(B, n + k) for k in ks))
+    if f_symbols is None:
+        assert "function-small" not in [c.name for c in rep.checks]
+        return
+    fixed = dict(enumerate(({s} for s in f_symbols), start=1))
+    F = DepthSet.cylinder(spec, N, fixed)
+    BF = DepthSet.cylinder(spec, N, {**fixed, N: rep.objects["shifted"]})
+    BpF = DepthSet.cylinder(spec, N, {**fixed, N: rep.objects["D"]})
+    assert computed("function-small") == format_scalar(max(pull(BF, k) for k in ks))
+    assert computed("function-close") == format_scalar(
+        max(pull(F, k) - pull(BpF, k) for k in ks))
+
+
 def test_fhc_transport_matches_enumeration():
     spec = gallery.get_spec("fhc-not-mixing")
     rep = fhc_witness(spec, 0.35, Fraction(1, 5), spot_checks=16)
