@@ -208,7 +208,7 @@ def cmd_witness(args, spec: SystemSpec) -> int:
     if args.trials is not None:
         sampling["trials"] = args.trials
     run = argparse.Namespace(
-        **vars(args), eps=float(args.epsilon), sampling=sampling,
+        **vars(args), eps=args.epsilon, sampling=sampling,
         kappa_param=args.kappa or Fraction(1, 5))
     try:
         rep = build(witness, spec, run)
@@ -234,17 +234,18 @@ def cmd_orbit(args, spec: SystemSpec) -> int:
               f"not {spec.kind}", file=sys.stderr)
         return 2
     from .functions import cylinder_orbit
-    f_sym = [int(x) for x in args.f.split(",")]
-    g_sym = [int(x) for x in args.g.split(",")]
-    depth = max(args.depth, len(f_sym), len(g_sym))
-
-    def cylinder(symbols):
+    depth = max(args.depth, len(args.f), len(args.g))
+    sets = []
+    for flag, symbols in (("--f", args.f), ("--g", args.g)):
         fixed = {i: {s} for i, s in enumerate(symbols, start=1)}
-        return DepthSet.cylinder(spec, depth, fixed)
-
-    trace = cylinder_orbit(spec, cylinder(f_sym), cylinder(g_sym),
-                           epsilon=float(args.epsilon),
-                           p=parse_scalar(args.p), horizon=args.horizon)
+        try:
+            sets.append(DepthSet.cylinder(spec, depth, fixed))
+        except ValueError as exc:
+            print(f"odolab orbit: error: argument {flag}: {exc}",
+                  file=sys.stderr)
+            return 2
+    trace = cylinder_orbit(spec, *sets, epsilon=args.epsilon, p=args.p,
+                           horizon=args.horizon)
     out = Path(args.out) / f"orbit-{_slug(args.spec)}.tsv"
     write_tsv(out, trace.to_tsv_rows())
     print(f"visits: {len(trace.visit_set)} / {args.horizon}; "
@@ -338,11 +339,14 @@ def checked(parse, ok, what: str):
 
 
 positive_int = checked(int, lambda v: v >= 1, "an integer >= 1")
+symbol_list = checked(lambda t: [int(x) for x in t.split(",")],
+                      lambda v: min(v) >= 0, "comma-separated integers >= 0")
 
 
 SHARED_FLAGS = {
     "horizon": {"type": positive_int, "default": 50},
-    "epsilon": {"default": "0.1"},
+    "epsilon": {"type": checked(float, lambda v: 0 < v < 1,
+                                "a decimal in (0, 1)"), "default": "0.1"},
     "kappa": {"type": checked(parse_scalar, lambda v: 0 < v < 1,
                               "p/q or a decimal in (0, 1)"), "default": None},
 }
@@ -387,14 +391,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=checked(int, lambda v: v >= 0,
                                           "an integer >= 0"), default=None)
     p.add_argument("--trials", type=positive_int, default=None)
-    p.add_argument("--cap", type=int, default=None)
-    p.add_argument("--iterate", type=int, default=None)
+    p.add_argument("--cap", type=positive_int, default=None)
+    p.add_argument("--iterate", type=positive_int, default=None)
     p = command("orbit", cmd_orbit, "orbit trace of a cylinder indicator",
                 "epsilon", "horizon")
-    p.add_argument("--depth", type=int, default=4)
-    p.add_argument("--f", default="0")
-    p.add_argument("--g", default="1")
-    p.add_argument("--p", default="1")
+    p.add_argument("--depth", type=positive_int, default=4)
+    p.add_argument("--f", type=symbol_list, default="0")
+    p.add_argument("--g", type=symbol_list, default="1")
+    p.add_argument("--p", default="1", type=checked(
+        parse_scalar, lambda v: 1 <= v < float("inf"), "p/q or a decimal >= 1"))
     command("norms", cmd_norms, "boundedness / equivalence diagnostics",
             "horizon")
     p = sub.add_parser("gallery-list", help="list built-in systems")

@@ -5,8 +5,8 @@ finite value tables over a truncation and composition is a permutation of the
 table.  Rational specs give exact p-th powers of norms; the norms themselves
 are exposed as float enclosures since p-th roots are irrational.
 `cylinder_orbit` needs no table: ||C^n 1_F - 1_G||_p^p is mu(map^-n F) +
-mu(G) - 2 mu(G and map^-n F), each from the chain kernel, and on float
-weights it is the exact per-cell sum, rounded once.
+mu(G) - 2 mu(G and map^-n F), three exact chains on the integer weight rows
+(float weights at their binary values), combined and then rounded once.
 """
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .maps import InducedBijection, binary_rows, chain_measure, image_overlap
+from .maps import InducedBijection, chain_measure, image_overlap, rounded
 from .scalars import Scalar, format_scalar, integer_view, is_exact
 from .space import (DepthSet, SimpleFunction, SystemSpec, TruncatedSpace,
                     build_truncation, float_quotients)
@@ -203,20 +203,20 @@ def orbit_trace(spec: SystemSpec, f: SimpleFunction, g: SimpleFunction,
 
 def cylinder_orbit(spec: SystemSpec, F: DepthSet, G: DepthSet, epsilon: float,
                    p: Scalar = 1, horizon: int = 64) -> OrbitTrace:
-    """orbit_trace of 1_F against 1_G without cells: float weights enter at
-    their exact binary values, and the period is the least d whose cell
-    count finds map^-d F = F.  build_truncation checks orbit_trace's cap
-    and allocates nothing."""
+    """orbit_trace of 1_F against 1_G without cells: the three chains run
+    on one read of the weight rows and the distance is rounded once, and
+    the period is the least d whose cell count finds map^-d F = F.
+    build_truncation checks orbit_trace's cap and allocates nothing."""
     if F.depth != G.depth:
         raise ValueError("F and G live on different truncations")
     build_truncation(spec, F.depth)
-    rows, exact = binary_rows(spec, F.depth)
+    rows, exact = spec.weight_rows(F.depth)
     mu_g = chain_measure(spec, None, G.factors, 0, rows)
 
     def lp_pow_at(n: int) -> Scalar:
-        dpow = (chain_measure(spec, None, F.factors, n, rows) + mu_g
-                - 2 * chain_measure(spec, G.factors, F.factors, n, rows))
-        return dpow if exact else float(dpow)
+        return rounded(chain_measure(spec, None, F.factors, n, rows) + mu_g
+                       - 2 * chain_measure(spec, G.factors, F.factors, n, rows),
+                       exact)
 
     size = image_overlap(spec, F, 0)
     return _trace(spec, epsilon, p, horizon, lp_pow_at, _least_period(

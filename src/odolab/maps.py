@@ -6,10 +6,11 @@ translation adds 1 to every digit independently.  Transports of depth sets
 never enumerate cells: through odometer iterates a two-state carry chain
 suffices, since the probability of reaching digit i with a pending carry is
 all the process needs to remember, and the translation is the same loop
-without a carry.  On rows of ones the kernel counts cells instead.  The chain
-is a pass that can stop after any coordinate and resume, so transports that
-share a prefix run it once; on integer rows a coordinate both sets leave free
-costs slice sums instead of a loop over its symbols.
+without a carry; mu(S) itself is the chain at n = 0.  It runs on integer
+rows, float weights at their exact binary values, and rounds a float spec's
+mass once.  On rows of ones it counts cells.  The chain is a pass that can
+stop after any coordinate and resume, so transports that share a prefix run
+it once; a coordinate both sets leave free costs slice sums, not a loop.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ from itertools import repeat
 from typing import Optional, Sequence
 
 from .errors import CapExceeded, CarryOverflow, UnresolvedTail
-from .scalars import Scalar, format_scalar, integer_view
+from .scalars import Scalar, format_scalar
 from .space import (ODOMETER, SHIFT, TRANSLATION, DepthSet, SystemSpec,
                     build_truncation)
 
@@ -172,35 +173,39 @@ def chain_measure(spec: SystemSpec, source: Optional[Sequence],
     of n; a None factor is the whole alphabet, a None source the space.
 
     A carry (a borrow when n < 0) only moves upward, so a two-state chain
-    in it is exact in O(N * m).  Exact specs run on integer numerators and
-    build one Fraction; a float coordinate runs the scalar weights operation
-    for operation.  Given integer `rows` it runs on those: ones count cells.
+    in it is exact in O(N * m).  On spec.weight_rows it returns `rounded`'s
+    scalar; given integer `rows` (ones count cells), the exact Fraction.
     """
     rows, exact = ((rows, True) if rows is not None
                    else spec.weight_rows(len(target)))
-    f0, f1, den, _ = chain_pass(spec, rows, exact, source, target, n)
-    return Fraction(f0 + f1, den) if exact else f0 + f1
+    f0, f1, den, _ = chain_pass(spec, rows, source, target, n)
+    return rounded(Fraction(f0 + f1, den), exact)
 
 
-def chain_pass(spec: SystemSpec, rows: list, exact: bool,
-               source: Optional[Sequence], target: Sequence, n: int,
+def rounded(value: Fraction, exact: bool) -> Scalar:
+    """An exact mass as the spec's scalar: itself when every weight was
+    exact, else the nearest float, rounded once."""
+    return value if exact else float(value)
+
+
+def chain_pass(spec: SystemSpec, rows: list, source: Optional[Sequence],
+               target: Sequence, n: int,
                state: Optional[tuple] = None) -> tuple:
-    """chain_measure's chain over `rows`; returns the state (f0, f1, den,
-    rest): the masses with no carry and with a carry pending, the denominator
-    so far and the digits of |n| still to add.  Passed back as `state` with
-    the next rows, it resumes the chain.  On integer rows a free coordinate
-    folds: the carry out of state c is the mass of the top d + c symbols, a
-    borrow that of the bottom d + c."""
+    """chain_measure's chain over integer `rows`; returns the state (f0, f1,
+    den, rest): the masses with no carry and with a carry pending, the
+    denominator so far and the digits of |n| still to add.  Passed back as
+    `state` with the next rows, it resumes the chain.  A coordinate both
+    sets leave free folds: the carry out of state c is the mass of the top
+    d + c symbols, a borrow that of the bottom d + c."""
     odometer = spec.kind == ODOMETER
     sign = -1 if n < 0 and odometer else 1
-    zero = 0 if exact else Fraction(0)
-    f0, f1, den, rest = state or (zero + 1, zero, 1, abs(n))
+    f0, f1, den, rest = state or (1, 0, 1, abs(n))
     for (weights, row_den), have, want in zip(rows, source or repeat(None),
                                               target):
         m = len(weights)
         rest, d = divmod(rest, m) if odometer else (rest, n % m)
         den *= row_den
-        if exact and have is None and want is None:
+        if have is None and want is None:
             total = sum(weights)
             o0, o1 = ((sum(weights[m - d - c:]) if sign > 0
                        else sum(weights[:d + c])) if odometer else 0
@@ -208,31 +213,22 @@ def chain_pass(spec: SystemSpec, rows: list, exact: bool,
             f0, f1 = (f0 * (total - o0) + f1 * (total - o1),
                       f0 * o0 + f1 * o1)
             continue
-        xs = range(m) if have is None else sorted(have)
-        g0 = g1 = zero
+        g0 = g1 = 0
         for c, fin in ((0, f0), (1, f1)):
             if fin == 0:
                 continue
             step = sign * (d + c)
-            for x in xs:
+            for x in range(m) if have is None else have:
                 t = x + step
                 out = t % m
                 if want is not None and out not in want:
                     continue
                 if out != t and odometer:
-                    g1 = g1 + fin * weights[x]
+                    g1 += fin * weights[x]
                 else:
-                    g0 = g0 + fin * weights[x]
+                    g0 += fin * weights[x]
         f0, f1 = g0, g1
     return f0, f1, den, rest
-
-
-def binary_rows(spec: SystemSpec, depth: int) -> tuple[list, bool]:
-    """Integer rows with float weights at their exact binary values, and
-    whether every coordinate was exact already."""
-    rows = [spec.integer_weights(i) for i in range(1, depth + 1)]
-    return [r or integer_view([Fraction(w) for w in spec.mu(i)])
-            for i, r in enumerate(rows, start=1)], None not in rows
 
 
 def image_overlap(spec: SystemSpec, S: DepthSet, n: int) -> int:
@@ -254,6 +250,11 @@ def odometer_pullback_measure(spec: SystemSpec, S: DepthSet, k: int) -> Scalar:
 def forward_image_measure(spec: SystemSpec, S: DepthSet, n: int) -> Scalar:
     """mu(map^n(S)) = mu(map^-(-n)(S)), exact at any depth."""
     return chain_measure(spec, None, S.factors, -n)
+
+
+def set_measure(spec: SystemSpec, S: DepthSet) -> Scalar:
+    """mu(S): the chain at n = 0."""
+    return chain_measure(spec, None, S.factors, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -294,16 +295,6 @@ class BoundReport:
         return rows
 
 
-def _odometer_level_value(spec: SystemSpec, l: int, prefix_ratio: Scalar) -> Scalar:
-    m = spec.m(l)
-    sup = None
-    for j in range(m):
-        r = spec.mu_weight(l, j - 1) / spec.mu_weight(l, j)
-        if sup is None or r > sup:
-            sup = r
-    return prefix_ratio * sup
-
-
 def boundedness(spec: SystemSpec, horizon: int, closed_form: Optional[str] = None) -> BoundReport:
     """Evaluate the boundedness criterion level by level up to `horizon`.
 
@@ -318,7 +309,7 @@ def boundedness(spec: SystemSpec, horizon: int, closed_form: Optional[str] = Non
     if spec.kind == ODOMETER:
         prefix = Fraction(1)
         for l in levels:
-            values.append(_odometer_level_value(spec, l, prefix))
+            values.append(prefix * spec.sup_shift_ratio(l, 1))
             m = spec.m(l)
             prefix = prefix * (spec.mu_weight(l, m - 1) / spec.mu_weight(l, 0))
     elif spec.kind == TRANSLATION:

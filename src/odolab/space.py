@@ -233,6 +233,10 @@ class SameMeasure(MeasureFamily):
         if len({is_exact(w) for w in self._nu}) > 1:
             raise ValueError("same-measure weights mix p/q and decimal entries")
 
+    @property
+    def backend(self):
+        return "rational" if is_exact(self._nu[0]) else "float"
+
     def weights(self, i, m):
         if m != len(self._nu):
             raise ValueError("alphabet size does not match the fixed vector")
@@ -794,17 +798,12 @@ class SystemSpec:
         return ints
 
     def weight_rows(self, depth: int) -> tuple[list, bool]:
-        """Per-coordinate (weights, denominator) rows for i = 1 .. depth.
-
-        When every coordinate is exact the rows are integer numerators and
-        the flag is True.  Otherwise they are the memoised vectors mu(i) over
-        1, so a kernel run on them does the per-symbol scalar arithmetic,
-        operation for operation.
-        """
+        """Integer (numerators, denominator) rows of mu_1 .. mu_depth, float
+        weights at their exact binary values, and whether every weight was
+        exact (else maps.rounded rounds a mass computed on them once)."""
         rows = [self.integer_weights(i) for i in range(1, depth + 1)]
-        if all(r is not None for r in rows):
-            return rows, True
-        return [(self.mu(i), 1) for i in range(1, depth + 1)], False
+        return [r or integer_view([Fraction(w) for w in self.mu(i)])
+                for i, r in enumerate(rows, start=1)], None not in rows
 
     def _vector_default(self, name: str) -> bool:
         """Whether the family keeps MeasureFamily's default for `name`,
@@ -1076,15 +1075,6 @@ class DepthSet:
             if f is not None:
                 keep &= np.isin(d, list(f))
         return keep
-
-
-def set_measure(spec: SystemSpec, S: DepthSet) -> Scalar:
-    """Exact measure of a depth set: the product of its factors' measures."""
-    total = None
-    for i, f in enumerate(S.factors, start=1):
-        part = spec.subset_measure(i, range(spec.m(i)) if f is None else f)
-        total = part if total is None else total * part
-    return total if total is not None else Fraction(1)
 
 
 @dataclass

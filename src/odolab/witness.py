@@ -26,11 +26,10 @@ from .criteria import (alpha_shift, alpha_shift_witness, charge_work,
                        kappa as kappa_seq, omega, theta_witness)
 from .errors import (CapExceeded, HypothesisUnavailable,
                      NotFoundWithinHorizon, StrategyInfeasible, WindowTooSmall)
-from .maps import (chain_pass, forward_image_measure, image_overlap,
-                   preimage_measure)
+from .maps import (chain_measure, chain_pass, forward_image_measure,
+                   image_overlap, preimage_measure, rounded, set_measure)
 from .scalars import Scalar, format_scalar, is_exact
-from .space import (ODOMETER, SHIFT, TRANSLATION, DepthSet, SystemSpec,
-                    set_measure)
+from .space import ODOMETER, SHIFT, TRANSLATION, DepthSet, SystemSpec
 
 EXHAUSTIVE_CELL_CAP = 1 << 22
 DEFAULT_TRIALS = 1_000_000
@@ -648,8 +647,9 @@ def fhc_witness(spec: SystemSpec, epsilon: float, kappa_param,
                "mu(o^-(n+k)(B)) >= mu_N(D) - omega >= 1 - eps for k <= kappa d",
                1 - epsilon, large_bound, "proof-bound",
                float(large_bound) >= 1 - epsilon - 1e-15)
-    report.add("fixed-by-d", "o^-d(B) = B (d is the full block size)", 0, 0,
-               "exact", d_period % radix[N] == 0)
+    moved = image_overlap(spec, B, 0) - image_overlap(spec, B, d_period)
+    report.add("fixed-by-d", "o^-d(B) = B (d is the full block size)", 0,
+               moved, "exact", moved == 0)
 
     kd = int(kappa_param * d_period)
     if kd + 1 <= FHC_K_BUDGET:
@@ -672,25 +672,26 @@ def fhc_witness(spec: SystemSpec, epsilon: float, kappa_param,
     rows, exact = spec.weight_rows(N)
 
     def resume(state, n, want, more=0):
-        f0, f1, den, _ = chain_pass(spec, rows[-1:], exact, None, (want,), n,
+        f0, f1, den, _ = chain_pass(spec, rows[-1:], None, (want,), n,
                                     state[:3] + (state[3] + more,))
-        return Fraction(f0 + f1, den) if exact else f0 + f1
+        return Fraction(f0 + f1, den)
 
     small, large, g_small, g_large = [], [], [], []
     for k in ks:
-        state = chain_pass(spec, rows[:-1], exact, None, B.factors[:-1], k)
+        state = chain_pass(spec, rows[:-1], None, B.factors[:-1], k)
         small.append(resume(state, k, shifted))
         large.append(resume(state, n_iter + k, shifted, j))
         if f_symbols is not None:
             # C^k g indicates o^-k(B and F), and C^(n+k) g o^-k(B' and F)
             # because o^-n fixes F (n is a multiple of its period) and sends
             # B to B'
-            state = chain_pass(spec, rows[:-1], exact, None,
-                               f_set.factors[:-1], k)
+            state = chain_pass(spec, rows[:-1], None, f_set.factors[:-1], k)
             g_small.append(resume(state, k, shifted))
             g_large.append(resume(state, k, None) - resume(state, k, D))
-    # float() is monotone, so every k passes exactly when the worst k does
-    worst_small, worst_large = max(small), min(large)
+    # rounding is monotone, so the worst exact mass of each family, rounded
+    # once, is the worst rounded one; every k passes exactly when it does
+    worst_small, worst_large = (rounded(max(small), exact),
+                                rounded(min(large), exact))
     agree_ok = (float(worst_small) <= float(small_bound) + 1e-15
                 and float(worst_large) >= float(large_bound) - 1e-15)
     report.add("pullback-small-transport", "exact transports <= eps",
@@ -703,7 +704,8 @@ def fhc_witness(spec: SystemSpec, epsilon: float, kappa_param,
                "bounds", "ok" if agree_ok else "violated", "exact", agree_ok)
 
     if f_symbols is not None:
-        worst_g_small, worst_g_large = max(g_small), max(g_large)
+        worst_g_small, worst_g_large = (rounded(max(g_small), exact),
+                                        rounded(max(g_large), exact))
         report.add("function-small", "||C^k g||_1 <= eps for k <= kappa d",
                    epsilon, worst_g_small, "exact",
                    float(worst_g_small) <= epsilon + 1e-15, coverage=coverage)
@@ -760,11 +762,14 @@ def ufhc_count(spec: SystemSpec, epsilon: float, kappa_param=Fraction(1, 5),
     if n_iter is None:
         raise ValueError("n_iter is required when B is supplied")
     m_count = count_window or math.ceil((1 + kappa_param) * n_iter)
-    # each iterate is one transport through the depth of B
+    # each iterate is one transport through the depth of B, on one read of
+    # its weight rows
     charge_work(m_count * B.depth, "ufhc count", "transport steps")
+    rows, exact = spec.weight_rows(B.depth)
     qualifying = []
     for k in range(1, m_count + 1):
-        if float(1 - preimage_measure(spec, B, k)) <= epsilon + 1e-15:
+        back = rounded(chain_measure(spec, None, B.factors, k, rows), exact)
+        if float(1 - back) <= epsilon + 1e-15:
             qualifying.append(k)
     achieved = Fraction(len(qualifying), m_count)
     predicted = kappa_param / (1 + kappa_param)

@@ -17,8 +17,8 @@ from odolab.criteria import (alpha_shift, evaluate, gamma_odometer,
                              gamma_tilde_witness, kappa, omega,
                              salas_products, theta)
 from odolab.maps import (InducedBijection, boundedness, norm_probe,
-                         preimage_cylinder, rn_derivative)
-from odolab.space import DepthSet, build_truncation, set_measure
+                         preimage_cylinder, rn_derivative, set_measure)
+from odolab.space import DepthSet, build_truncation
 from odolab.witness import (DEFAULT_SEED, EXHAUSTIVE_CELL_CAP, fhc_witness,
                             shift_fhc_witness, transitivity_witness)
 

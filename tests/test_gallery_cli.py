@@ -232,6 +232,19 @@ def test_cli_malformed_config_exits_two(tmp_path, capsys, cfg, reason):
     "witness binary-alpha(1/4) --name transitivity --seed -1",
     "witness fhc-binary --name src --seed -1",
     "witness fhc-binary --name fhc --seed -1",
+    "witness fhc-binary --name fhc --epsilon abc",
+    "witness fhc-binary --name fhc --epsilon 0",
+    "witness fhc-binary --name fhc --epsilon -1",
+    "witness fhc-binary --name mixing --iterate -1",
+    "witness fhc-binary --name mixing --iterate 0",
+    "witness fhc-binary --name src --cap 0",
+    "orbit fhc-binary --epsilon abc",
+    "orbit fhc-binary --p abc",
+    "orbit fhc-binary --p 0.5",
+    "orbit fhc-binary --f 0,x",
+    "orbit fhc-binary --g -1",
+    "orbit fhc-binary --depth 0",
+    "orbit fhc-binary --depth -3",
 ])
 def test_cli_bad_flag_values_exit_two(argv, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -239,6 +252,17 @@ def test_cli_bad_flag_values_exit_two(argv, tmp_path, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and ": error: argument --" in err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", ["orbit fhc-binary --f 5",
+                                  "orbit fhc-binary --g 0,3"])
+def test_cli_orbit_symbol_outside_alphabet_exits_two(argv, tmp_path, capsys):
+    # parsed, but past the binary alphabet: one usage line, no report
+    assert main(argv.split() + ["--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and ": error: argument --" in err
+    assert "outside the alphabet" in err
     assert not list(tmp_path.iterdir())
 
 
@@ -251,6 +275,16 @@ def test_cli_all_decimal_weight_row_runs(tmp_path):
 def test_cli_backend_mismatch_exits_two(tmp_path):
     assert main(["classify", "geometric-mixing", "--backend", "rational",
                  "--out", str(tmp_path)]) == 2
+
+
+def test_cli_decimal_same_measure_runs_on_the_float_backend(tmp_path, capsys):
+    # decimal weights are floats, so the spec's backend says float
+    argv = ["classify", "same-measure(0.5,0.5)", "--out", str(tmp_path)]
+    assert main(argv + ["--backend", "rational"]) == 2
+    assert capsys.readouterr().err == (
+        "spec runs on the float backend, not rational\n")
+    assert not list(tmp_path.iterdir())
+    assert main(argv + ["--backend", "float"]) == 0
 
 
 def test_cli_sequences_tsv(tmp_path):

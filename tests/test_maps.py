@@ -6,13 +6,15 @@ from hypothesis import given, settings, strategies as st
 
 from odolab import gallery, space
 from odolab.errors import CarryOverflow, UnresolvedTail
-from odolab.maps import (InducedBijection, binary_rows, boundedness,
-                         chain_measure, chain_pass, forward_image_measure,
-                         image_overlap, kakutani_check, norm_probe,
-                         odometer_add, odometer_step, preimage_cylinder,
-                         preimage_measure, rn_derivative)
+from odolab.functions import cylinder_orbit
+from odolab.maps import (InducedBijection, boundedness, chain_measure,
+                         chain_pass, forward_image_measure, image_overlap,
+                         kakutani_check, norm_probe, odometer_add,
+                         odometer_step, preimage_cylinder, preimage_measure,
+                         rn_derivative, rounded, set_measure)
+from odolab.scalars import is_exact
 from odolab.space import (AlphabetRule, DepthSet, RampMeasure, SystemSpec,
-                          build_truncation, set_measure)
+                          build_truncation)
 
 from conftest import listed_spec, member_cells, random_listed_vectors
 
@@ -149,9 +151,13 @@ def test_preimage_measure_examples(binary_uniform):
 
 
 def carry_chain_oracle(spec, factors, k, subtract=False):
-    """The per-Fraction carry chain: one scalar product per symbol and chain."""
+    """The per-Fraction carry chain: one product per symbol and chain, each
+    weight w as Fraction(w), so a float weight enters at its binary value;
+    with a float coordinate the exact result is rounded once."""
     depth = len(factors)
     digits = spec.digits_of(k, depth)
+    exact = all(is_exact(spec.mu_weight(i, x)) for i in range(1, depth + 1)
+                for x in range(spec.m(i)))
     f0, f1 = Fraction(1), Fraction(0)
     for i in range(1, depth + 1):
         m = spec.m(i)
@@ -166,14 +172,14 @@ def carry_chain_oracle(spec, factors, k, subtract=False):
                 nxt = (t < 0) if subtract else (t >= m)
                 if want is not None and t % m not in want:
                     continue
-                w = fin * spec.mu_weight(i, x)
+                w = fin * Fraction(spec.mu_weight(i, x))
                 if nxt:
                     g1 = w if g1 is None else g1 + w
                 else:
                     g0 = w if g0 is None else g0 + w
         f0 = g0 if g0 is not None else Fraction(0)
         f1 = g1 if g1 is not None else Fraction(0)
-    return f0 + f1
+    return f0 + f1 if exact else float(f0 + f1)
 
 
 @settings(max_examples=80, deadline=None)
@@ -200,7 +206,7 @@ def test_carry_chain_matches_enumeration(data):
     k = data.draw(st.integers(0, 400))
     if kind == "odometer":
         # the integer kernel against the per-Fraction chain: equal values of
-        # the same type, so float prefixes agree bit for bit
+        # the same type, so a float result is the exact one rounded once
         for subtract in (False, True):
             got = chain_measure(spec, None, S.factors, -k if subtract else k)
             want = carry_chain_oracle(spec, S.factors, k, subtract)
@@ -213,7 +219,7 @@ def test_carry_chain_matches_enumeration(data):
     brute_fwd = sum(tr.cell_measure(bij.forward(c, k)) for c in cells)
     # a source set and rows of ones against DepthSet.mask enumeration; the
     # exact binary rows against the per-cell Fraction products
-    binary, _ = binary_rows(spec, depth)
+    binary, _ = spec.weight_rows(depth)
     for n in (k, -k):
         meet = [c for c in member_cells(R) if bij.forward(c, n) in cells]
         assert (image_overlap(spec, S, n)
@@ -246,6 +252,51 @@ def per_cell_fraction(vectors, digits) -> Fraction:
     return out
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_float_measures_round_the_exact_cell_sum_once(data):
+    # with a float coordinate every measure of a depth set is the exact sum
+    # of its cells' per-Fraction products, rounded once, and each orbit
+    # distance combines the exact transports before it rounds
+    import numpy as np
+    rng = np.random.default_rng(data.draw(st.integers(0, 10 ** 6)))
+    depth = data.draw(st.integers(1, 4))
+    float_coords = data.draw(st.sets(st.integers(1, depth), min_size=1,
+                                     max_size=depth))
+    vectors = random_listed_vectors(rng, depth, float_coords)
+    kind = data.draw(st.sampled_from(["odometer", "diagonal-translation"]))
+    spec = listed_spec(kind, vectors)
+    tr = build_truncation(spec, depth)
+    bij = InducedBijection(spec, depth)
+
+    def depth_set():
+        return DepthSet.product_form(spec, [data.draw(st.sampled_from(
+            [None, {0}, {len(v) - 1}, set(range(1, len(v)))]))
+            for v in vectors])
+
+    def exact(cells):
+        return sum((per_cell_fraction(vectors, tr.digits(c)) for c in cells),
+                   Fraction(0))
+
+    S, F, G = depth_set(), depth_set(), depth_set()
+    cells = member_cells(S)
+    k = data.draw(st.integers(0, 200))
+    pull = [c for c in range(tr.cell_count) if bij.forward(c, k) in cells]
+    for got, want in ((preimage_measure(spec, S, k), exact(pull)),
+                      (forward_image_measure(spec, S, k),
+                       exact(bij.forward(c, k) for c in cells)),
+                      (set_measure(spec, S), exact(cells))):
+        assert type(got) is float and got == float(want)
+    p = data.draw(st.sampled_from([Fraction(1), Fraction(2), Fraction(3, 2)]))
+    horizon = 12
+    trace = cylinder_orbit(spec, F, G, 0.1, p, horizon)
+    f_cells, g_cells = member_cells(F), member_cells(G)
+    for n in range(1, horizon + 1):
+        back = {c for c in range(tr.cell_count) if bij.forward(c, n) in f_cells}
+        dpow = exact(back) + exact(g_cells) - 2 * exact(back & g_cells)
+        assert trace.distances[n - 1] == float(dpow) ** (1.0 / float(p))
+
+
 @settings(max_examples=120, deadline=None)
 @given(st.data())
 def test_chain_pass_resumes_and_folds(data):
@@ -275,26 +326,24 @@ def test_chain_pass_resumes_and_folds(data):
     n += data.draw(st.integers(0, 2)) * spec.cell_count(depth)
     n *= data.draw(st.sampled_from([1, -1]))
     rows, exact = spec.weight_rows(depth)
-    whole = chain_pass(spec, rows, exact, source, target, n)
+    whole = chain_pass(spec, rows, source, target, n)
     got = chain_measure(spec, source, target, n)
-    assert got == (Fraction(whole[0] + whole[1], whole[2]) if exact
-                   else whole[0] + whole[1])
+    assert got == rounded(Fraction(whole[0] + whole[1], whole[2]), exact)
     if kind == "odometer" and source is None:
         want = carry_chain_oracle(spec, target, abs(n), n < 0)
         assert type(got) is type(want) and got == want
     src = source or (None,) * depth
     for cut in range(depth + 1):
-        head = chain_pass(spec, rows[:cut], exact, src[:cut], target[:cut], n)
-        resumed = chain_pass(spec, rows[cut:], exact, src[cut:],
-                             target[cut:], n, head)
+        head = chain_pass(spec, rows[:cut], src[:cut], target[:cut], n)
+        resumed = chain_pass(spec, rows[cut:], src[cut:], target[cut:], n,
+                             head)
         assert resumed == whole
         assert [type(x) for x in resumed] == [type(x) for x in whole]
     listed = [frozenset(range(m)) if f is None else f
               for m, f in zip(ms, src)]
-    for integer_rows in (binary_rows(spec, depth)[0],
-                         [((1,) * m, 1) for m in ms]):
-        assert (chain_pass(spec, integer_rows, True, source, target, n)
-                == chain_pass(spec, integer_rows, True, listed, target, n))
+    for integer_rows in (rows, [((1,) * m, 1) for m in ms]):
+        assert (chain_pass(spec, integer_rows, source, target, n)
+                == chain_pass(spec, integer_rows, listed, target, n))
 
 
 @pytest.mark.parametrize("kind", ["odometer", "diagonal-translation"])
@@ -304,11 +353,11 @@ def test_chain_fold_at_the_top_digit(kind):
     spec = listed_spec(kind, [[Fraction(1, 6), Fraction(2, 6), Fraction(3, 6)],
                               [Fraction(3, 10), Fraction(7, 10)],
                               [Fraction(1, 4)] * 4])
-    rows, exact = spec.weight_rows(3)
+    rows, _ = spec.weight_rows(3)
     listed = [frozenset(range(m)) for m in (3, 2, 4)]
     for n in (23, -23, 24, -24, 1, -1):
-        free = chain_pass(spec, rows, exact, None, (None,) * 3, n)
-        assert free == chain_pass(spec, rows, exact, listed, (None,) * 3, n)
+        free = chain_pass(spec, rows, None, (None,) * 3, n)
+        assert free == chain_pass(spec, rows, listed, (None,) * 3, n)
         assert Fraction(free[0] + free[1], free[2]) == 1
 
 

@@ -8,9 +8,9 @@ from odolab import criteria, gallery, space
 from odolab.cli import ODOMETER_CRITERIA
 from odolab.errors import CapExceeded
 from odolab.scalars import integer_view, is_exact, scalar_sum
+from odolab.maps import set_measure
 from odolab.space import (AlphabetRule, DepthSet, RampMeasure, SimpleFunction,
-                          SystemSpec, atomless_monitor, build_truncation,
-                          set_measure)
+                          SystemSpec, atomless_monitor, build_truncation)
 
 from conftest import (listed_spec, member_cells, random_listed_vectors,
                       uniform_binary)

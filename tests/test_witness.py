@@ -8,9 +8,11 @@ from odolab.criteria import evaluate
 from odolab.errors import (CapExceeded, HypothesisUnavailable,
                            NotFoundWithinHorizon, StrategyInfeasible,
                            WindowTooSmall)
-from odolab.maps import InducedBijection, odometer_pullback_measure
+from odolab.maps import (InducedBijection, odometer_pullback_measure,
+                         set_measure)
 from odolab.scalars import format_scalar
-from odolab.space import DepthSet, SystemSpec, build_truncation, set_measure
+from odolab.space import DepthSet, SystemSpec, build_truncation
+import odolab.witness as witness_module
 from odolab.witness import (_band_mass, fhc_witness, fhcsum_witness,
                             find_transitivity_params, mixing_witness,
                             rigidity_probe, shift_fhc_witness,
@@ -158,6 +160,20 @@ def test_fhc_period_adjustment():
     assert rep.passed
 
 
+def test_fhc_fixed_by_d_counts_moved_cells(monkeypatch):
+    # fixed-by-d compares two cell counts of the chain kernel: o^d moves no
+    # cell of B, and a count that finds one moved fails the check
+    spec = gallery.get_spec("fhc-binary")
+    rep = fhc_witness(spec, 0.2, Fraction(1, 8), spot_checks=10)
+    assert rep.check("fixed-by-d").ok and rep.check("fixed-by-d").computed == 0
+    real = witness_module.image_overlap
+    monkeypatch.setattr(witness_module, "image_overlap",
+                        lambda spec, S, n: real(spec, S, n) - (n != 0))
+    rep = fhc_witness(spec, 0.2, Fraction(1, 8), spot_checks=10)
+    assert rep.check("fixed-by-d").computed == 1
+    assert not rep.check("fixed-by-d").ok and not rep.passed
+
+
 @pytest.mark.parametrize("gid,eps,kappa,coverage", [
     ("fhc-binary", 0.2, Fraction(1, 8), "all-k"),
     ("fhc-binary", 0.1, Fraction(1, 5), "seeded-spot"),
@@ -233,6 +249,25 @@ def test_ufhc_count_blocks():
         if float(1 - mass) <= 0.52 + 1e-15:
             recount += 1
     assert recount == len(rep.objects["qualifying"])
+
+
+def test_ufhc_count_reads_the_rows_once(monkeypatch):
+    # every iterate's transport runs on one read of B's weight rows
+    spec = gallery.get_spec("fhc-not-mixing")
+    B = DepthSet.cylinder(spec, 5, {5: {0}})
+    reads = []
+    real = SystemSpec.weight_rows
+
+    def counted(self, depth):
+        reads.append(depth)
+        return real(self, depth)
+
+    monkeypatch.setattr(SystemSpec, "weight_rows", counted)
+    rep = ufhc_count(spec, epsilon=0.5, B=B, n_iter=4, count_window=16)
+    assert reads == [5]
+    assert rep.objects["qualifying"] == [
+        k for k in range(1, 17)
+        if float(1 - odometer_pullback_measure(spec, B, k)) <= 0.5 + 1e-15]
 
 
 def test_ufhc_count_empty_set():
