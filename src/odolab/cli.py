@@ -169,7 +169,7 @@ WITNESSES = {
     "transitivity": ((ODOMETER,), lambda w, spec, a: w.transitivity_witness(
         spec, a.eps, **a.sampling)),
     "mixing": ((ODOMETER,), lambda w, spec, a: w.mixing_witness(
-        spec, a.eps, k=a.iterate or 10 ** 4)),
+        spec, a.eps, k=a.iterate)),
     "fhc": ((ODOMETER,), lambda w, spec, a: w.fhc_witness(
         spec, a.eps, a.kappa_param, f_symbols=(0, 0, 0), seed=a.seed)),
     "ufhc-count": ((ODOMETER, TRANSLATION), lambda w, spec, a: w.ufhc_count(

@@ -163,13 +163,15 @@ def _trace(spec: SystemSpec, epsilon: float, p: Scalar, horizon: int,
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     pf = float(p)
+    # the exact ball's radius eps^p, one power per trace
+    radius = (Fraction(epsilon) ** int(pf)
+              if spec.backend == "rational" and pf == int(pf) else None)
     distances, visit_set, running = [], [], []
     for n in range(1, horizon + 1):
         dpow = lp_pow_at(n)
         dist = float(dpow) ** (1.0 / pf)
-        inside = (dpow < Fraction(epsilon) ** int(pf)
-                  if spec.backend == "rational" and is_exact(dpow)
-                  and pf == int(pf) else dist < epsilon)
+        inside = (dpow < radius if radius is not None and is_exact(dpow)
+                  else dist < epsilon)
         distances.append(dist)
         if inside:
             visit_set.append(n)

@@ -16,6 +16,7 @@ every sampled check has zero violations.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -507,8 +508,10 @@ def _sampled_disjointness(spec, membership, depth, k, trials, seed,
 # mixing witness (odometer)
 # ---------------------------------------------------------------------------
 
-def mixing_witness(spec: SystemSpec, epsilon: float, k: int) -> WitnessReport:
-    """Two-coordinate witness disjoint from its k-th image, k past the burn-in.
+def mixing_witness(spec: SystemSpec, epsilon: float,
+                   k: Optional[int] = None) -> WitnessReport:
+    """Two-coordinate witness disjoint from its k-th image, k past the burn-in
+    (k = k_0, the burn-in itself, when None).
 
     Needs every shift-disjoint optimum at the top two digit positions of k to
     weigh at least 1 - eps/3; the burn-in threshold k_0 sums the radix weights
@@ -531,6 +534,7 @@ def mixing_witness(spec: SystemSpec, epsilon: float, k: int) -> WitnessReport:
             f"optimum above 1 - eps/3 = {float(need):.6g}")
     radix = spec.radix_weights(i0 + 1)
     k0 = sum(radix[i - 1] for i in range(1, i0 + 1))
+    k = k0 if k is None else k
     report = WitnessReport(construction="mixing",
                            params={"epsilon": epsilon, "k": k, "i0": i0,
                                    "k0": k0})
@@ -761,28 +765,50 @@ def ufhc_count(spec: SystemSpec, epsilon: float, kappa_param=Fraction(1, 5),
                    "exact", float(set_measure(spec, B)) <= epsilon + 1e-15)
     if n_iter is None:
         raise ValueError("n_iter is required when B is supplied")
+    if any(f is not None for f in B.factors[:-1]):
+        raise ValueError("the counted B may fix only its last coordinate")
     m_count = count_window or math.ceil((1 + kappa_param) * n_iter)
-    # each iterate is one transport through the depth of B, on one read of
-    # its weight rows
-    charge_work(m_count * B.depth, "ufhc count", "transport steps")
-    rows, exact = spec.weight_rows(B.depth)
-    qualifying = []
-    for k in range(1, m_count + 1):
+    # B fixes coordinate i to S.  With k = a + b M (M = M_i on the odometer,
+    # 1 on the translation) mu(map^-k B) = (1 - c(a)) mu_i(S - b) + c(a)
+    # mu_i(S - b - 1), c(a) the carry into i: it has period M m_i in k and is
+    # monotone in a, so a block's passing a's are a prefix or a suffix.  The
+    # count bisects at most m_i + 1 blocks, one transport through B per call.
+    i = B.depth
+    M = spec.radix_weights(i)[i - 1] if spec.kind == ODOMETER else 1
+    charge_work((spec.m(i) + 2) * (2 + M.bit_length()) * i, "ufhc count",
+                "transport steps")
+    rows, exact = spec.weight_rows(i)
+
+    @functools.cache
+    def fills(k: int) -> bool:
         back = rounded(chain_measure(spec, None, B.factors, k, rows), exact)
-        if float(1 - back) <= epsilon + 1e-15:
-            qualifying.append(k)
-    achieved = Fraction(len(qualifying), m_count)
+        return float(1 - back) <= epsilon + 1e-15
+
+    def block(start: int, size: int) -> int:
+        lo, hi = start, start + size - 1
+        first = fills(lo)
+        if fills(hi) == first:
+            return size if first else 0
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if fills(mid) == first else (lo, mid)
+        return hi - start if first else start + size - hi
+
+    # k in [0, m_count] is q whole periods of m_i blocks and r more
+    q, r = divmod(m_count + 1, M * spec.m(i))
+    whole = [block(b * M, M) for b in range(spec.m(i) if q else r // M)]
+    rest = block(r - r % M, r % M) if r % M else 0
+    count = q * sum(whole) + sum(whole[:r // M]) + rest - fills(0)
+    achieved = Fraction(count, m_count)
     predicted = kappa_param / (1 + kappa_param)
     slack = Fraction(2, m_count)
     report.add("count", "achieved fraction >= kappa/(1+kappa) - slack",
                predicted - slack, achieved, "exact",
-               achieved >= predicted - slack,
-               count=len(qualifying), window=m_count)
+               achieved >= predicted - slack, count=count, window=m_count)
     report.add("fraction-sane", "achieved fraction <= 1", 1, achieved,
                "exact", achieved <= 1)
-    report.objects.update(B=B, n=n_iter, qualifying=qualifying,
-                          window=m_count, achieved=achieved,
-                          predicted=predicted)
+    report.objects.update(B=B, n=n_iter, count=count, window=m_count,
+                          achieved=achieved, predicted=predicted)
     return report
 
 

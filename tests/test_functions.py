@@ -137,6 +137,26 @@ def test_orbit_tsv_shape(binary_uniform):
     assert len(rows) == 6
 
 
+def test_orbit_trace_takes_the_radius_power_once(binary_uniform, monkeypatch):
+    # the exact ball's radius eps^p is a loop invariant of the trace
+    powers = []
+    real = Fraction.__pow__
+
+    def counted(self, other, *rest):
+        if self == Fraction(0.3):
+            powers.append(other)
+        return real(self, other, *rest)
+
+    monkeypatch.setattr(Fraction, "__pow__", counted)
+    F = DepthSet.basic_cylinder(binary_uniform, (0, 1))
+    G = DepthSet.basic_cylinder(binary_uniform, (1, 0))
+    f, g = SimpleFunction.indicator(F), SimpleFunction.indicator(G)
+    for trace in (orbit_trace(binary_uniform, f, g, 0.3, p=3, horizon=8),
+                  cylinder_orbit(binary_uniform, F, G, 0.3, p=3, horizon=8)):
+        assert trace.visit_set == [1, 5]
+    assert powers == [3, 3]
+
+
 def test_isometry_on_uniform(binary_uniform):
     f = indicator(binary_uniform, (0, 1)) - indicator(binary_uniform, (1, 0)).scale(3)
     base = lp_norm_pow(binary_uniform, f, 2)

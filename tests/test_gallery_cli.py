@@ -378,15 +378,22 @@ def test_cli_ufhc_count_stops_at_the_sweep_budget(tmp_path, capsys):
     assert out.startswith("witness inconclusive: gamma sweep needs ")
 
 
-def test_cli_ufhc_count_stops_at_the_transport_budget(tmp_path, capsys):
-    # depth 20 and n = 2^19: 629,146 iterates, each a 20-step transport
+def test_cli_ufhc_count_counts_per_carry_block(tmp_path, capsys):
+    # depth 20 and n = 2^19: 629,146 iterates, counted per carry block
     start = time.perf_counter()
     code = main(["witness", "fhc-binary", "--name", "ufhc-count",
                  "--out", str(tmp_path)])
     assert time.perf_counter() - start < 10
-    assert code == 1
-    out = capsys.readouterr().out
-    assert out.startswith("witness inconclusive: ufhc count needs ")
+    assert code == 0
+    assert "witness ufhc-count: pass" in capsys.readouterr().out.splitlines()
+
+
+@pytest.mark.parametrize("gid", ["fhc-binary", "geometric-mixing"])
+def test_cli_mixing_runs_at_its_burn_in(gid, tmp_path, capsys):
+    # both entries register mixing; their burn-in k_0 is past 10^8
+    code = main(["witness", gid, "--name", "mixing", "--out", str(tmp_path)])
+    assert code == 0
+    assert "witness mixing: pass" in capsys.readouterr().out.splitlines()
 
 
 @pytest.mark.parametrize("gid", ["trans-rigid", "trans-mixing"])

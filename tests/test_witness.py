@@ -2,14 +2,15 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from odolab import gallery
+from odolab import criteria, gallery
 from odolab.criteria import evaluate
 from odolab.errors import (CapExceeded, HypothesisUnavailable,
                            NotFoundWithinHorizon, StrategyInfeasible,
                            WindowTooSmall)
-from odolab.maps import (InducedBijection, odometer_pullback_measure,
-                         set_measure)
+from odolab.maps import (InducedBijection, chain_measure,
+                         odometer_pullback_measure, rounded, set_measure)
 from odolab.scalars import format_scalar
 from odolab.space import DepthSet, SystemSpec, build_truncation
 import odolab.witness as witness_module
@@ -20,7 +21,7 @@ from odolab.witness import (_band_mass, fhc_witness, fhcsum_witness,
                             transitivity_witness, translation_hoeffding_witness,
                             ufhc_count, ufhcsum_witness)
 
-from conftest import listed_spec, member_cells
+from conftest import listed_spec, member_cells, random_listed_vectors
 
 
 # ---------------------------------------------------------------------------
@@ -114,6 +115,13 @@ def test_mixing_witness_exhaustive():
     # re-derive the recorded mass from measure-core primitives
     assert float(set_measure(spec, rep.objects["B"])) == pytest.approx(
         float(rep.check("mass").computed))
+
+
+@pytest.mark.parametrize("gid", ["fhc-binary", "geometric-mixing"])
+def test_mixing_witness_runs_at_its_burn_in(gid):
+    rep = mixing_witness(gallery.get_spec(gid), 0.1)
+    assert rep.params["k"] == rep.params["k0"]
+    assert rep.passed
 
 
 def test_mixing_witness_below_burn_in():
@@ -248,7 +256,7 @@ def test_ufhc_count_blocks():
                    if bij.forward(c, k) in cells)
         if float(1 - mass) <= 0.52 + 1e-15:
             recount += 1
-    assert recount == len(rep.objects["qualifying"])
+    assert recount == rep.objects["count"]
 
 
 def test_ufhc_count_reads_the_rows_once(monkeypatch):
@@ -265,9 +273,66 @@ def test_ufhc_count_reads_the_rows_once(monkeypatch):
     monkeypatch.setattr(SystemSpec, "weight_rows", counted)
     rep = ufhc_count(spec, epsilon=0.5, B=B, n_iter=4, count_window=16)
     assert reads == [5]
-    assert rep.objects["qualifying"] == [
-        k for k in range(1, 17)
-        if float(1 - odometer_pullback_measure(spec, B, k)) <= 0.5 + 1e-15]
+    assert rep.objects["count"] == sum(
+        float(1 - odometer_pullback_measure(spec, B, k)) <= 0.5 + 1e-15
+        for k in range(1, 17))
+
+
+def per_k_count(spec, B, epsilon, window) -> int:
+    """The count one transport per iterate: the oracle for the block count."""
+    rows, exact = spec.weight_rows(B.depth)
+    return sum(
+        float(1 - rounded(chain_measure(spec, None, B.factors, k, rows),
+                          exact)) <= epsilon + 1e-15
+        for k in range(1, window + 1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_ufhc_count_blocks_match_the_per_k_count(data):
+    import numpy as np
+    rng = np.random.default_rng(data.draw(st.integers(0, 10 ** 6)))
+    depth = data.draw(st.integers(1, 4))
+    float_coords = data.draw(st.sets(st.integers(1, depth), max_size=1))
+    kind = data.draw(st.sampled_from(["odometer", "diagonal-translation"]))
+    spec = listed_spec(kind, random_listed_vectors(rng, depth, float_coords))
+    m = spec.m(depth)
+    S = data.draw(st.sets(st.integers(0, m - 1)))
+    B = DepthSet.cylinder(spec, depth, {depth: S})
+    epsilon = data.draw(st.sampled_from([0.05, 0.2, 0.35, 0.5, 0.65, 0.8,
+                                         0.95]))
+    # windows around block (M_i) and period (M_i m_i) edges
+    M = spec.radix_weights(depth)[depth - 1] if kind == "odometer" else 1
+    edge = data.draw(st.sampled_from([M, M * m, 2 * M * m, 3 * M * m + M]))
+    window = max(1, edge + data.draw(st.integers(-2, 2)))
+    rep = ufhc_count(spec, epsilon, B=B, n_iter=1, count_window=window)
+    assert rep.objects["count"] == per_k_count(spec, B, epsilon, window)
+    if depth > 1:
+        fixed = data.draw(st.integers(1, depth - 1))
+        early = DepthSet.cylinder(spec, depth, {fixed: {0}, depth: S})
+        with pytest.raises(ValueError):
+            ufhc_count(spec, epsilon, B=early, n_iter=1, count_window=window)
+
+
+def test_ufhc_count_budget_trips_before_any_transport(monkeypatch):
+    # fhc-binary's count makes at most (2 + 2)(2 + 20) calls at depth 20
+    calls = []
+    real = witness_module.chain_measure
+
+    def counted(*args):
+        calls.append(args[3])
+        return real(*args)
+
+    monkeypatch.setattr(witness_module, "chain_measure", counted)
+    spec = gallery.get_spec("fhc-binary")
+    B = DepthSet.cylinder(spec, 20, {20: {0}})
+    monkeypatch.setattr(criteria, "WORK_BUDGET", 4 * 22 * 20 - 1)
+    with pytest.raises(CapExceeded, match="^ufhc count needs 1760 "):
+        ufhc_count(spec, 0.1, B=B, n_iter=1 << 19)
+    assert calls == []
+    monkeypatch.setattr(criteria, "WORK_BUDGET", 4 * 22 * 20)
+    ufhc_count(spec, 0.1, B=B, n_iter=1 << 19)
+    assert 0 < len(calls) <= 4 * 22
 
 
 def test_ufhc_count_empty_set():
