@@ -16,6 +16,7 @@ every sampled check has zero violations.
 """
 from __future__ import annotations
 
+import collections
 import functools
 import math
 from dataclasses import dataclass, field
@@ -29,7 +30,7 @@ from .errors import (CapExceeded, HypothesisUnavailable,
                      NotFoundWithinHorizon, StrategyInfeasible, WindowTooSmall)
 from .maps import (chain_measure, chain_pass, forward_image_measure,
                    image_overlap, preimage_measure, rounded, set_measure)
-from .scalars import Scalar, format_scalar, is_exact
+from .scalars import Scalar, format_scalar, integer_view, is_exact
 from .space import ODOMETER, SHIFT, TRANSLATION, DepthSet, SystemSpec
 
 EXHAUSTIVE_CELL_CAP = 1 << 22
@@ -228,28 +229,6 @@ def _pair_law(spec: SystemSpec, i: int, D: frozenset,
     return p11, p10, p01, _complement(p11 + p10 + p01)
 
 
-def _pair_sum_distribution(pairs: Sequence[tuple]) -> dict:
-    """Joint law of (sum X_s, sum Y_s) for independent {0,1}^2 pairs.
-
-    Each entry of `pairs` is (p11, p10, p01, p00).  Dict keyed by (u, v).
-    """
-    zero_like = pairs[0][0] * 0
-    dist = {(0, 0): zero_like + 1}
-    for p11, p10, p01, p00 in pairs:
-        nxt: dict = {}
-        for (u, v), w in dist.items():
-            if p11:
-                nxt[(u + 1, v + 1)] = nxt.get((u + 1, v + 1), zero_like) + w * p11
-            if p10:
-                nxt[(u + 1, v)] = nxt.get((u + 1, v), zero_like) + w * p10
-            if p01:
-                nxt[(u, v + 1)] = nxt.get((u, v + 1), zero_like) + w * p01
-            if p00:
-                nxt[(u, v)] = nxt.get((u, v), zero_like) + w * p00
-        dist = nxt
-    return dist
-
-
 def _thresholds(pairs: Sequence[tuple], drops: Sequence[Scalar]) -> tuple:
     """(t_x, t_y, ux_min, uy_max) for the concentration set.
 
@@ -267,9 +246,25 @@ def _thresholds(pairs: Sequence[tuple], drops: Sequence[Scalar]) -> tuple:
 
 def _concentration_mass(pairs: Sequence[tuple], ux_min: int,
                         uy_max: int) -> Scalar:
-    """P(sum X_s >= ux_min and sum Y_s <= uy_max) under the pair laws."""
-    return sum((w for (u, v), w in _pair_sum_distribution(pairs).items()
-                if u >= ux_min and v <= uy_max), pairs[0][0] * 0)
+    """P(sum X_s >= ux_min and sum Y_s <= uy_max) under the pair laws.
+
+    A DP over the capped hit counts (u, v): u stops at ux_min, and a state
+    whose v passes uy_max is dropped.  Each pair law runs on integers over
+    its own denominator, floats at their binary values, rounded once.
+    """
+    dist, den = ({(0, 0): 1} if uy_max >= 0 else {}), 1
+    for pair in pairs:
+        nums, scale = integer_view([Fraction(p) for p in pair])
+        den *= scale
+        nxt: dict = {}
+        for (u, v), w in dist.items():
+            for du, dv, p in zip((1, 1, 0, 0), (1, 0, 1, 0), nums):
+                key = (min(u + du, ux_min), v + dv)
+                if p and key[1] <= uy_max:
+                    nxt[key] = nxt.get(key, 0) + w * p
+        dist = nxt
+    mass = Fraction(sum(w for (u, _), w in dist.items() if u >= ux_min), den)
+    return rounded(mass, all(is_exact(p) for pair in pairs for p in pair))
 
 
 def transitivity_witness(spec: SystemSpec, epsilon: float,
@@ -313,14 +308,14 @@ def transitivity_witness(spec: SystemSpec, epsilon: float,
                     for i, ks in zip(plan.indices, plan.shifts))
     report.params["k"] = k_iterate
 
-    membership = _TransitivityMembership(spec, plan, ux_min, uy_max)
     cells = spec.cell_count(plan.depth)
     if cells <= cell_cap:
-        violations = _exhaustive_disjointness(spec, membership, plan.depth,
+        violations = _exhaustive_disjointness(spec, plan, ux_min, uy_max,
                                               k_iterate)
         report.add("disjoint", "B and o^k(B) meet nowhere", 0, violations,
                    "exact", violations == 0, cells=cells)
     else:
+        membership = _TransitivityMembership(spec, plan, ux_min, uy_max)
         violations, examples = _sampled_disjointness(spec, membership,
                                                      plan.depth, k_iterate,
                                                      trials, seed)
@@ -334,11 +329,8 @@ def transitivity_witness(spec: SystemSpec, epsilon: float,
 
 
 class _TransitivityMembership:
-    """Vectorized membership test for the concentration witness set B.
-
-    Reads depth-major digit matrices: row i - 1 holds coordinate i, one
-    column per point.
-    """
+    """The sampled rung's membership test for B on depth-major digit
+    matrices: row i - 1 holds coordinate i, one column per point."""
 
     def __init__(self, spec: SystemSpec, plan: TransitivityPlan,
                  ux_min: int, uy_max: int):
@@ -384,19 +376,6 @@ def _digit_dtype(spec: SystemSpec, depth: int):
     return np.int64
 
 
-def _digit_matrix_from_indices(spec: SystemSpec, depth: int,
-                               idx: np.ndarray) -> np.ndarray:
-    """Depth-major digits of the cells idx: row i - 1 holds coordinate i."""
-    import numpy as np
-    out = np.empty((depth, len(idx)), dtype=_digit_dtype(spec, depth))
-    rem = idx.copy()
-    for i in range(1, depth + 1):
-        m = spec.m(i)
-        out[i - 1] = rem % m
-        rem //= m
-    return out
-
-
 def _add_iterate(digits: np.ndarray, moduli: Sequence[int],
                  k_digits: Sequence[int]) -> np.ndarray:
     """Depth-major digits of x + k, the carry out of the depth dropped.
@@ -416,24 +395,43 @@ def _add_iterate(digits: np.ndarray, moduli: Sequence[int],
     return out
 
 
-def _exhaustive_disjointness(spec, membership, depth, k) -> int:
-    import numpy as np
-    cells = spec.cell_count(depth)
-    chunk = 1 << 18
-    # mark membership cell by cell; the image cell of c is (c + k) mod M
-    in_b = np.zeros(cells, dtype=bool)
-    for start in range(0, cells, chunk):
-        idx = np.arange(start, min(start + chunk, cells), dtype=np.int64)
-        in_b[start:start + chunk] = membership(
-            _digit_matrix_from_indices(spec, depth, idx))
-    return _self_overlap(in_b, k)
+def _exhaustive_disjointness(spec: SystemSpec, plan: TransitivityPlan,
+                             ux_min: int, uy_max: int, k: int) -> int:
+    """Number of depth-N cells c of B with c + k in B, indices mod M.
 
+    A chain over coordinates 1..N on unit rows: a state is the carry and, for
+    x and x + k, the capped hit counts (u, v) and whether the band since the
+    last selected index is all top.  It counts the prefixes reaching it, so
+    at coordinate r it holds at most M_r states and marks no cell.
+    """
+    sets = {i: (D, frozenset((x + s) % spec.m(i) for x in D))
+            for i, D, s in zip(plan.indices, plan.sets, plan.shifts)}
 
-def _self_overlap(mask: np.ndarray, k: int) -> int:
-    """Number of cells c of B with c + k in B, indices taken mod M."""
-    import numpy as np
-    k %= len(mask)
-    return int(np.count_nonzero(mask & np.roll(mask, -k)))
+    def step(h, f):
+        if r not in sets:
+            return h[:2] + (h[2] and f,)
+        v = h[1] + f[1]
+        if h[2] or v > uy_max:      # a band closed all top, or v passed
+            return None
+        return min(h[0] + f[0], ux_min), v, r + 1 not in sets
+
+    states = {(0, (0, 0, False), (0, 0, False)): 1} if uy_max >= 0 else {}
+    for r, d in enumerate(spec.digits_of(k, plan.depth), start=1):
+        m, hits = spec.m(r), sets.get(r)
+        kind = ((lambda z: (z in hits[0], z in hits[1])) if hits
+                else (lambda z: z == m - 1))
+        moves = [collections.Counter(
+            (kind(x), kind((x + d + c) % m), x + d + c >= m)
+            for x in range(m)) for c in (0, 1)]
+        nxt: dict = {}
+        for (c, hx, hy), n in states.items():
+            for (fx, fy, out), w in moves[c].items():
+                key = (out, step(hx, fx), step(hy, fy))
+                if None not in key:
+                    nxt[key] = nxt.get(key, 0) + n * w
+        states = nxt
+    return sum(n for (_, hx, hy), n in states.items()
+               if min(hx[0], hy[0]) >= ux_min)
 
 
 _SAMPLE_BLOCK = 4096      # points per membership test and carry
@@ -761,8 +759,9 @@ def ufhc_count(spec: SystemSpec, epsilon: float, kappa_param=Fraction(1, 5),
         report.params.update(depth=i, j=j, n=n_iter)
         report.add("tilted-interval", "interval mass < eps/2", delta_target,
                    tilt, "exact", float(tilt) < delta_target)
-        report.add("set-small", "mu(B) <= eps", epsilon, set_measure(spec, B),
-                   "exact", float(set_measure(spec, B)) <= epsilon + 1e-15)
+        mu_b = set_measure(spec, B)
+        report.add("set-small", "mu(B) <= eps", epsilon, mu_b, "exact",
+                   float(mu_b) <= epsilon + 1e-15)
     if n_iter is None:
         raise ValueError("n_iter is required when B is supplied")
     if any(f is not None for f in B.factors[:-1]):
@@ -957,8 +956,9 @@ def single_site_witness(spec: SystemSpec, epsilon: float = 0.1,
         back = preimage_measure(spec, B, n)
         report.add("pullback-large", "mu(t^-n(B)) >= 1 - eps", 1 - epsilon,
                    back, "exact", float(back) >= 1 - epsilon - 1e-12)
-        report.add("set-small", "mu(B) <= eps", epsilon, set_measure(spec, B),
-                   "exact", float(set_measure(spec, B)) <= epsilon + 1e-12)
+        mu_b = set_measure(spec, B)
+        report.add("set-small", "mu(B) <= eps", epsilon, mu_b, "exact",
+                   float(mu_b) <= epsilon + 1e-12)
         report.objects.update(B=B, D=D, site=i, n=n)
         return report
     raise HypothesisUnavailable(

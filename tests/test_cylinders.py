@@ -3,8 +3,8 @@
 The witness constructions and the orbit command used to pad their cylinders
 by hand, and the mixing and runaway-product witnesses counted self-overlaps
 on Python sets of cell indices.  Those forms stay here as oracles;
-`DepthSet.cylinder`, `DepthSet.mask` and `_self_overlap` must agree with
-them.
+`DepthSet.cylinder`, `DepthSet.mask` and `maps.image_overlap` must agree
+with them.
 """
 import json
 from fractions import Fraction
@@ -17,11 +17,11 @@ from odolab.cli import build_parser, main
 from odolab.criteria import evaluate
 from odolab.errors import HypothesisUnavailable
 from odolab.functions import period_of
-from odolab.maps import InducedBijection, odometer_pullback_measure
+from odolab.maps import (InducedBijection, image_overlap,
+                         odometer_pullback_measure)
 from odolab.space import (AlphabetRule, DepthSet, SimpleFunction, SystemSpec,
                           build_truncation)
-from odolab.witness import (_self_overlap, fhc_witness, single_site_witness,
-                            src_search)
+from odolab.witness import fhc_witness, single_site_witness, src_search
 
 from conftest import listed_spec, member_cells
 
@@ -123,15 +123,15 @@ def test_self_overlap_matches_set_overlap(case, data):
     k = data.draw(st.one_of(st.integers(0, 3 * M),
                             st.integers(0, 40).map(lambda t: t * M),
                             st.integers(2 ** 63, 2 ** 80)))
-    assert _self_overlap(S.mask(), k) == set_overlap(M, member_cells(S), k)
+    assert image_overlap(spec, S, k) == set_overlap(M, member_cells(S), k)
 
 
 def test_self_overlap_large_iterates():
     spec = gallery.get_spec("fhc-binary")
     S = DepthSet.cylinder(spec, 3, {3: {1}})
-    mask, cells = S.mask(), member_cells(S)
+    cells = member_cells(S)
     for k in (8, 2 ** 63 - 1, 2 ** 63, 2 ** 63 + 4, 10 ** 30 + 3):
-        assert _self_overlap(mask, k) == set_overlap(8, cells, k)
+        assert image_overlap(spec, S, k) == set_overlap(8, cells, k)
 
 
 # ---------------------------------------------------------------------------

@@ -388,6 +388,20 @@ def test_cli_ufhc_count_counts_per_carry_block(tmp_path, capsys):
     assert "witness ufhc-count: pass" in capsys.readouterr().out.splitlines()
 
 
+def test_cli_transitivity_raised_cap_counts_on_the_chain(tmp_path, capsys):
+    # the plan reaches depth 64: 2^64 cells, far too many to mark one by one
+    start = time.perf_counter()
+    code = main(["witness", "fhc-binary", "--name", "transitivity",
+                 "--cap", str(10 ** 21), "--out", str(tmp_path)])
+    assert time.perf_counter() - start < 10
+    assert code == 0
+    assert "  [ok] disjoint (exact)" in capsys.readouterr().out.splitlines()
+    doc = json.loads(
+        (tmp_path / "witness-transitivity-fhc-binary.json").read_text())
+    disjoint = next(c for c in doc["checks"] if c["name"] == "disjoint")
+    assert (disjoint["computed"], disjoint["cells"]) == (0, 2 ** 64)
+
+
 @pytest.mark.parametrize("gid", ["fhc-binary", "geometric-mixing"])
 def test_cli_mixing_runs_at_its_burn_in(gid, tmp_path, capsys):
     # both entries register mixing; their burn-in k_0 is past 10^8

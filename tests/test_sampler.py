@@ -5,21 +5,28 @@ a (points, depth) int64 digit matrix walked column by column, digits drawn
 with `searchsorted` from one (size, depth) draw per seed chunk, and the
 carry and membership loops over its columns.  They stay here as the
 reference; the rungs must agree with them on digits, membership, images,
-violation counts and example points, in order.
+violation counts and example points, in order.  The exhaustive rung is a
+hit-count chain that marks no cell; its count must equal the row-major
+enumeration's.
 """
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import odolab
 from odolab import gallery
 from odolab.space import ODOMETER
 from odolab.witness import (_DRAW_ROWS, _SAMPLE_BLOCK, TransitivityPlan,
                             _TransitivityMembership, _add_iterate,
-                            _digit_matrix_from_indices,
-                            _exhaustive_disjointness, _sample_thresholds,
-                            _sampled_disjointness, find_transitivity_params)
+                            _digit_dtype, _exhaustive_disjointness,
+                            _sample_thresholds, _sampled_disjointness,
+                            find_transitivity_params)
 
 from conftest import listed_spec
 
@@ -188,16 +195,49 @@ def test_exhaustive_rung_matches_row_major_oracle(system, data):
     cells = spec.cell_count(depth)
     k = data.draw(iterates(cells))
     new, old = memberships(spec, plan, ux_min, uy_max)
-    idx = np.arange(cells, dtype=np.int64)
-    rows = row_digit_matrix(spec, depth, idx)
-    digits = _digit_matrix_from_indices(spec, depth, idx)
-    assert np.array_equal(digits, rows.T)
+    rows = row_digit_matrix(spec, depth, np.arange(cells, dtype=np.int64))
+    digits = rows.T.astype(_digit_dtype(spec, depth))
     assert np.array_equal(new(digits), old(rows))
     moduli = [spec.m(i) for i in range(1, depth + 1)]
     image = _add_iterate(digits, moduli, spec.digits_of(k, depth))
     assert np.array_equal(image, row_add_iterate(spec, rows, k).T)
-    assert (_exhaustive_disjointness(spec, new, depth, k)
+    assert (_exhaustive_disjointness(spec, plan, ux_min, uy_max, k)
             == row_exhaustive(spec, old, depth, k))
+
+
+NO_NUMPY_CHAIN = """
+import json, sys
+sys.modules["numpy"] = None          # any import of NumPy now fails
+from fractions import Fraction
+from odolab import gallery
+from odolab.witness import TransitivityPlan, _exhaustive_disjointness
+spec = gallery.get_spec("same-measure(2/3,1/3)")
+plan = TransitivityPlan(offset=0, count=3, indices=(2, 5, 6), drops=(),
+                        sets=(frozenset({0}),) * 3, shifts=(1, 1, 1),
+                        band_masses=(), gap_sum=Fraction(0),
+                        hoeffding_bound=0.0)
+print(json.dumps([_exhaustive_disjointness(spec, plan, u, v, k)
+                  for u, v, k in json.loads(sys.argv[1])]))
+"""
+
+
+def test_exhaustive_rung_runs_without_numpy():
+    spec = gallery.get_spec("same-measure(2/3,1/3)")
+    plan = TransitivityPlan(offset=0, count=3, indices=(2, 5, 6), drops=(),
+                            sets=(frozenset({0}),) * 3, shifts=(1, 1, 1),
+                            band_masses=(), gap_sum=Fraction(0),
+                            hoeffding_bound=0.0)
+    # k = 2 + 16 + 32 shifts every selected digit; 0 maps B onto itself
+    cases = [(2, 1, 50), (1, 2, 50), (2, 1, 0), (0, 3, 7), (3, 0, 50)]
+    src = os.path.dirname(os.path.dirname(odolab.__file__))
+    proc = subprocess.run([sys.executable, "-c", NO_NUMPY_CHAIN,
+                           json.dumps(cases)], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    counts = json.loads(proc.stdout)
+    assert counts == [row_exhaustive(spec, RowMembership(spec, plan, u, v),
+                                     6, k) for u, v, k in cases]
+    assert counts[2] > 0
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,9 @@ from odolab.maps import (InducedBijection, chain_measure,
 from odolab.scalars import format_scalar
 from odolab.space import DepthSet, SystemSpec, build_truncation
 import odolab.witness as witness_module
-from odolab.witness import (_band_mass, fhc_witness, fhcsum_witness,
-                            find_transitivity_params, mixing_witness,
-                            rigidity_probe, shift_fhc_witness,
+from odolab.witness import (_band_mass, _concentration_mass, fhc_witness,
+                            fhcsum_witness, find_transitivity_params,
+                            mixing_witness, rigidity_probe, shift_fhc_witness,
                             single_site_witness, src_evaluate, src_search,
                             transitivity_witness, translation_hoeffding_witness,
                             ufhc_count, ufhcsum_witness)
@@ -98,6 +98,71 @@ def test_transitivity_smallness_conditions_recorded():
     rep = transitivity_witness(spec, 0.45, beta=1.4)
     assert rep.check("smallness-gaps").ok
     assert rep.check("smallness-concentration").ok
+
+
+def _pair_sum_distribution(pairs):
+    """Joint law of (sum X_s, sum Y_s) for independent {0,1}^2 pairs.
+
+    Each entry of `pairs` is (p11, p10, p01, p00).  Dict keyed by (u, v).
+    """
+    zero_like = pairs[0][0] * 0
+    dist = {(0, 0): zero_like + 1}
+    for p11, p10, p01, p00 in pairs:
+        nxt: dict = {}
+        for (u, v), w in dist.items():
+            if p11:
+                nxt[(u + 1, v + 1)] = nxt.get((u + 1, v + 1), zero_like) + w * p11
+            if p10:
+                nxt[(u + 1, v)] = nxt.get((u + 1, v), zero_like) + w * p10
+            if p01:
+                nxt[(u, v + 1)] = nxt.get((u, v + 1), zero_like) + w * p01
+            if p00:
+                nxt[(u, v)] = nxt.get((u, v), zero_like) + w * p00
+        dist = nxt
+    return dist
+
+
+def uncapped_mass(pairs, ux_min, uy_max):
+    """The whole joint law's corner: the oracle for the capped mass DP."""
+    return sum((w for (u, v), w in _pair_sum_distribution(pairs).items()
+                if u >= ux_min and v <= uy_max), pairs[0][0] * 0)
+
+
+@st.composite
+def pair_laws(draw):
+    """Up to 30 pair laws with zero entries; some or all of them floats.
+
+    Float laws stop at 20 pairs: the oracle on their binary values, with
+    denominators near 2^53 each, takes 0.4 s at 30.
+    """
+    floats = draw(st.sampled_from(["none", "some", "all"]))
+    pairs = []
+    for _ in range(draw(st.integers(1, 30 if floats == "none" else 20))):
+        nums = draw(st.lists(st.integers(0, 5), min_size=4, max_size=4)
+                    .filter(any))
+        law = tuple(Fraction(x, sum(nums)) for x in nums)
+        if floats == "all" or floats == "some" and draw(st.booleans()):
+            law = tuple(float(p) for p in law)
+        pairs.append(law)
+    return pairs
+
+
+@settings(max_examples=60, deadline=None)
+@given(pair_laws(), st.data())
+def test_concentration_mass_matches_the_uncapped_law(pairs, data):
+    ux_min = data.draw(st.integers(-2, len(pairs) + 1))
+    uy_max = data.draw(st.integers(-2, len(pairs) + 1))
+    got = _concentration_mass(pairs, ux_min, uy_max)
+    if all(type(p) is Fraction for pair in pairs for p in pair):
+        assert type(got) is Fraction
+        assert got == uncapped_mass(pairs, ux_min, uy_max)
+    else:
+        # one rounding of the exact mass over the floats' binary values
+        binary = [tuple(map(Fraction, pair)) for pair in pairs]
+        assert type(got) is float
+        assert got == float(uncapped_mass(binary, ux_min, uy_max))
+        assert got == pytest.approx(uncapped_mass(pairs, ux_min, uy_max),
+                                    abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -333,6 +398,20 @@ def test_ufhc_count_budget_trips_before_any_transport(monkeypatch):
     monkeypatch.setattr(criteria, "WORK_BUDGET", 4 * 22 * 20)
     ufhc_count(spec, 0.1, B=B, n_iter=1 << 19)
     assert 0 < len(calls) <= 4 * 22
+
+
+def test_set_small_measures_b_once(monkeypatch):
+    calls = []
+    real = witness_module.set_measure
+
+    def counted(spec, S):
+        calls.append(S)
+        return real(spec, S)
+
+    monkeypatch.setattr(witness_module, "set_measure", counted)
+    assert ufhc_count(gallery.get_spec("fhc-binary"), 0.1).passed
+    assert single_site_witness(gallery.get_spec("trans-hc"), 0.1, 14).passed
+    assert len(calls) == 2
 
 
 def test_ufhc_count_empty_set():
