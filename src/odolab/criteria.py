@@ -25,6 +25,11 @@ passes; only the *_witness functions build chosen sets.  Each super-linear
 scan estimates its DP steps before it starts and raises CapExceeded past
 WORK_BUDGET.
 
+An odometer criteria table reads one row per index and runs theta, kappa,
+gamma and omega on it with the kernels above.  Identical rows are solved
+once per table, that is once per command, and the table yields its TSV rows
+one at a time for the writer to stream.
+
 Limit statements are never decided numerically: numeric mode reports
 "satisfied-up-to-horizon" with an evidence trail, and true verdicts come only
 from closed forms registered alongside the gallery.
@@ -73,30 +78,43 @@ def theta(spec: SystemSpec, i: int, shift: Optional[int] = None) -> Scalar:
     For a fixed shift the optimum is the positive-part sum; without a shift
     the maximum over k in [1, m_i - 1] is returned.
     """
-    return theta_witness(spec, i, shift)[0]
+    w, q = _weights(spec, i)
+    return _scalar(_theta_value(w, shift), q)
 
 
 def theta_witness(spec: SystemSpec, i: int, shift: Optional[int] = None):
     """(value, optimal set D, shift k) achieving the drop."""
     w, q = _weights(spec, i)
     m = len(w)
-    zero = 0 * w[0]
-
-    def drop(k: int):
-        D = frozenset(j for j in range(m) if w[j] > w[(j + k) % m])
-        val = sum((w[j] - w[(j + k) % m] for j in D), zero)
-        return val, D
-
     if shift is not None:
         k = shift % m
-        val, D = drop(k)        # shift 0 drops nothing
-        return _scalar(val, q), D, k
-    val, D, k = zero, frozenset(), 0
-    for s in range(1, m):
-        cand, S = drop(s)
-        if cand > val:
-            val, D, k = cand, S, s
+        val = _drop(w, k)
+    else:
+        val, k = _best_drop(w)
+    D = frozenset(j for j in range(m) if w[j] > w[(j + k) % m])
     return _scalar(val, q), D, k
+
+
+def _drop(w: Sequence[Scalar], k: int) -> Scalar:
+    """Sum of the positive parts of w_j - w_{j+k mod m}, in ascending j;
+    shift 0 drops nothing."""
+    return sum((a - b for a, b in zip(w, w[k:] + w[:k]) if a > b), 0 * w[0])
+
+
+def _best_drop(w: Sequence[Scalar]) -> tuple:
+    """(value, k): the largest _drop over k in [1, m - 1], the first k that
+    reaches it, or (0, 0) when no shift drops anything."""
+    val, k = 0 * w[0], 0
+    for s in range(1, len(w)):
+        cand = _drop(w, s)
+        if cand > val:
+            val, k = cand, s
+    return val, k
+
+
+def _theta_value(w: Sequence[Scalar], shift: Optional[int] = None) -> Scalar:
+    """theta's value on _weights' row."""
+    return _best_drop(w)[0] if shift is None else _drop(w, shift % len(w))
 
 
 # ---------------------------------------------------------------------------
@@ -162,10 +180,15 @@ def disjoint_shift_set_zplus(spec: SystemSpec, i: int, j: int) -> tuple:
 def kappa(spec: SystemSpec, i: int) -> Scalar:
     """Min over shifts of the best shift-disjoint mass (integer addition)."""
     w, q = _weights(spec, i)
+    return _scalar(_kappa_value(w), q)
+
+
+def _kappa_value(w: Sequence[Scalar]) -> Scalar:
+    """kappa's value on _weights' row, charged before it starts."""
     m = len(w)
     charge_work(m * (m - 1), "kappa")
-    return _scalar(min(sum(_path_value(w[s::j]) for s in range(j))
-                       for j in range(1, m)), q)
+    return min(sum(_path_value(w[s::j]) for s in range(j))
+               for j in range(1, m))
 
 
 def _mwis_cycle(weights: Sequence[Scalar]) -> tuple:
@@ -273,15 +296,19 @@ def gamma_witness(spec: SystemSpec, i: int) -> tuple:
     lower bound.
     """
     w, q = _weights(spec, i)
+    val, D, j = _gamma_row(w, q)
+    return _scalar(val, q), D, j
+
+
+def _gamma_row(w: Sequence[Scalar], q: Optional[int]) -> tuple:
+    """gamma_witness's (value, D, j) on _weights' row."""
     m = len(w)
     if m == 2:
         top = 0 if w[0] >= w[1] else 1
-        val, D, j = w[top], frozenset({top}), 1
-    elif m <= GAMMA_BRUTE_CAP:
-        val, D, j = _gamma_exhaustive(w, q)
-    else:
-        val, D, j = _gamma_sweep(w, q)
-    return _scalar(val, q), D, j
+        return w[top], frozenset({top}), 1
+    if m <= GAMMA_BRUTE_CAP:
+        return _gamma_exhaustive(w, q)
+    return _gamma_sweep(w, q)
 
 
 def _gamma_exhaustive(w: Sequence[Scalar], q: Optional[int]) -> tuple:
@@ -340,15 +367,20 @@ def _gamma_sweep(w: Sequence[Scalar], q: Optional[int]) -> tuple:
 
 def omega(spec: SystemSpec, i: int, kappa_param) -> Scalar:
     """Mass of the top interval of width kappa * m_i * m_{i+1} symbols."""
+    lo = _omega_start(spec, i, kappa_param)
+    return spec.interval_measure(i, lo, spec.m(i) - 1)
+
+
+def _omega_start(spec: SystemSpec, i: int, kappa_param) -> int:
+    """First symbol of omega's interval, ceil(m - 1 - k m m_next) clipped at
+    0; always <= m - 1, since k m m_next > 0."""
     k = Fraction(kappa_param)
     if not 0 < k < 1:
         raise ValueError("kappa must lie in (0, 1)")
     m = spec.m(i)
-    m_next = spec.m(i + 1)
-    # ceil(m - 1 - k m m_next) with k = a/b, on integers
+    # with k = a/b, on integers
     a, b = k.numerator, k.denominator
-    lo = max(0, -((a * m * m_next - b * (m - 1)) // b))
-    return spec.interval_measure(i, lo, m - 1)
+    return max(0, -((a * m * spec.m(i + 1) - b * (m - 1)) // b))
 
 
 def gamma_tilde(spec: SystemSpec, n: int, index_horizon: int) -> Scalar:
@@ -408,10 +440,15 @@ def salas_products(spec: SystemSpec, i: int, j: int, horizon: int) -> list:
 
 @dataclass
 class CriteriaTable:
-    """Computed criterion prefixes, each entry tagged with its optimizer."""
+    """Computed criterion prefixes, each entry tagged with its optimizer.
+
+    `solved` maps each distinct _weights row an odometer table has read to
+    its (theta, kappa, gamma); it lives as long as the table.
+    """
 
     spec: SystemSpec
     entries: dict = field(default_factory=dict)   # name -> {index: (value, tag, note)}
+    solved: dict = field(default_factory=dict, repr=False, compare=False)
 
     def put(self, name: str, index, value, tag: str, note: str = ""):
         self.entries.setdefault(name, {})[index] = (value, tag, note)
@@ -422,11 +459,12 @@ class CriteriaTable:
     def columns(self) -> list:
         return sorted(self.entries)
 
-    def to_tsv_rows(self) -> list:
+    def to_tsv_rows(self):
+        """The header, then one row per index, yielded one at a time."""
         cols = self.columns()
         indices = sorted({i for col in cols for i in self.entries[col]},
                          key=lambda x: (isinstance(x, tuple), x))
-        rows = [("index",) + tuple(cols) + ("optimizers",)]
+        yield ("index",) + tuple(cols) + ("optimizers",)
         for i in indices:
             vals = []
             tags = []
@@ -435,8 +473,7 @@ class CriteriaTable:
                 vals.append(format_scalar(cell[0]) if cell else "")
                 if cell:
                     tags.append(f"{c}={cell[1]}")
-            rows.append((str(i),) + tuple(vals) + (";".join(tags),))
-        return rows
+            yield (str(i),) + tuple(vals) + (";".join(tags),)
 
 
 def odometer_table(spec: SystemSpec, indices: Iterable[int],
@@ -449,18 +486,40 @@ def odometer_table(spec: SystemSpec, indices: Iterable[int],
 
 
 def odometer_row(table: CriteriaTable, i: int, kappa_param=None) -> None:
-    """Put odometer_table's entries for index i, column by column."""
+    """Put odometer_table's entries for index i, column by column.
+
+    theta, kappa, gamma and omega read one _weights row.  A row the table
+    has solved before reuses its values; a new row is solved and put one
+    column at a time, so a budget that stops kappa or gamma leaves the
+    columns before it put.  omega is the row's slice sum on an exact row; a
+    float row keeps spec.interval_measure, which may be a family's closed
+    form.
+    """
     spec = table.spec
     table.put("eta", i, spec.eta(i), "closed-form")
     table.put("delta", i, spec.delta(i), "closed-form")
-    table.put("theta", i, theta(spec, i), "closed-form")
-    table.put("kappa", i, kappa(spec, i), "path-dp")
-    m = spec.m(i)
-    gval, _, _ = gamma_witness(spec, i)
-    table.put("gamma", i, gval,
-              "brute-force" if m <= GAMMA_BRUTE_CAP else "search-lower-bound")
+    row = w, q = _weights(spec, i)
+    m = len(w)
+    tags = ("closed-form", "path-dp",
+            "brute-force" if m <= GAMMA_BRUTE_CAP else "search-lower-bound")
+    values = []
+    for name, tag, value in zip(("theta", "kappa", "gamma"), tags,
+                                table.solved.get(row) or _row_values(w, q)):
+        table.put(name, i, value, tag)
+        values.append(value)
+    table.solved[row] = tuple(values)
     if kappa_param is not None:
-        table.put("omega", i, omega(spec, i, kappa_param), "closed-form")
+        lo = _omega_start(spec, i, kappa_param)
+        tail = (Fraction(sum(w[lo:]), q) if q is not None
+                else spec.interval_measure(i, lo, m - 1))
+        table.put("omega", i, tail, "closed-form")
+
+
+def _row_values(w: Sequence[Scalar], q: Optional[int]):
+    """theta, kappa and gamma of one _weights row, each solved when asked."""
+    yield _scalar(_theta_value(w), q)
+    yield _scalar(_kappa_value(w), q)
+    yield _scalar(_gamma_row(w, q)[0], q)
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,7 @@ from .scalars import Scalar, format_scalar, integer_view, is_exact
 from .space import ODOMETER, SHIFT, TRANSLATION, DepthSet, SystemSpec
 
 EXHAUSTIVE_CELL_CAP = 1 << 22
+PLAN_SEARCH_BUDGET = EXHAUSTIVE_CELL_CAP   # theta steps the plan search may cost
 DEFAULT_TRIALS = 1_000_000
 DEFAULT_SEED = 20240901
 TRANSITIVITY_INDEX_CAP = 4000   # last index the transitivity plan scans
@@ -144,8 +145,7 @@ class TransitivityPlan:
 
 
 def find_transitivity_params(spec: SystemSpec, epsilon: float,
-                             horizon: int = 400, beta: Optional[float] = None,
-                             cell_cap: int = EXHAUSTIVE_CELL_CAP
+                             horizon: int = 400, beta: Optional[float] = None
                              ) -> TransitivityPlan:
     """Search offsets/lengths of the index rule i_s = floor((offset+s)^beta).
 
@@ -153,7 +153,8 @@ def find_transitivity_params(spec: SystemSpec, epsilon: float,
     epsilon; (b) the concentration bound exp(-(2/9n)(sum of drops)^2) falls
     below epsilon.  Raises StrategyInfeasible when no pair works, and
     CapExceeded up front when the optimal drops would cost more than
-    cell_cap steps: theta at index i takes about m_i^2.
+    PLAN_SEARCH_BUDGET steps: theta at index i takes about m_i^2.  The
+    budget is fixed; a witness's cell cap picks its disjointness rung only.
     """
     if spec.kind != ODOMETER:
         raise ValueError("the transitivity witness drives the odometer")
@@ -172,10 +173,10 @@ def find_transitivity_params(spec: SystemSpec, epsilon: float,
             break
         raw.append(i)
         work += spec.m(i) ** 2
-        if work > cell_cap:
+        if work > PLAN_SEARCH_BUDGET:
             raise CapExceeded(
                 f"the drops of the first {len(raw)} candidate indices cost "
-                f"{work} > {cell_cap} steps")
+                f"{work} > {PLAN_SEARCH_BUDGET} steps")
     drop_cache: dict[int, tuple] = {}
 
     def drop(i):
@@ -279,8 +280,7 @@ def transitivity_witness(spec: SystemSpec, epsilon: float,
     through the independence product; disjointness of B from its k-th image is
     checked exhaustively within the cell cap and by seeded sampling beyond.
     """
-    plan = find_transitivity_params(spec, epsilon, horizon=horizon, beta=beta,
-                                    cell_cap=cell_cap)
+    plan = find_transitivity_params(spec, epsilon, horizon=horizon, beta=beta)
     report = WitnessReport(construction="transitivity",
                            params={"epsilon": epsilon, "offset": plan.offset,
                                    "count": plan.count,

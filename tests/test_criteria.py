@@ -351,7 +351,7 @@ def test_salas_products_shift_z():
 
 def test_odometer_table_layout(fhc_binary):
     table = odometer_table(fhc_binary, range(1, 6), kappa_param=Fraction(1, 5))
-    rows = table.to_tsv_rows()
+    rows = list(table.to_tsv_rows())
     assert rows[0][:3] == ("index", "delta", "eta")
     assert len(rows) == 6
     assert table.get("gamma", 4) == Fraction(4, 5)

@@ -358,6 +358,45 @@ def test_cli_sequences_odometer_stops_at_the_kappa_budget(tmp_path, capsys):
     assert header == ["index", "delta", "eta", "theta", "optimizers"]
 
 
+# sha256 of two odometer tables as written when every index solved its own
+# row with the per-index theta, kappa, gamma_witness and omega calls
+SEQUENCES_ODOMETER = {
+    ("fhc-not-mixing", "--kappa", "1/5"):
+        "58b5e8218e383b8a69fda6a1f1f958428edaffb97735f51094f21e2e2c4c0bd6",
+    ("hc-not-mixing",):
+        "7775ec51f485091742dd3a0b1676d4916d30fe43539f360373196faf4967c446",
+}
+
+
+@pytest.mark.parametrize("args", list(SEQUENCES_ODOMETER))
+def test_cli_sequences_odometer_bytes(tmp_path, args):
+    code = main(["sequences", args[0], "--horizon", "300", *args[1:],
+                 "--out", str(tmp_path)])
+    assert code == 0
+    [report] = tmp_path.iterdir()
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == \
+        SEQUENCES_ODOMETER[args]
+
+
+def test_cli_sequences_solves_each_distinct_row_once(tmp_path, monkeypatch):
+    from odolab import criteria
+    spec = get_spec("hc-not-mixing")
+    rows = {criteria._weights(spec, i) for i in range(1, 2001)}
+    assert len(rows) == 7                 # alphabets 2..8 on a cycle
+    solved = {"_kappa_value": [], "_gamma_exhaustive": []}
+    for name, calls in solved.items():
+        def counted(w, *rest, _kernel=getattr(criteria, name), _calls=calls):
+            _calls.append(tuple(w))
+            return _kernel(w, *rest)
+        monkeypatch.setattr(criteria, name, counted)
+    assert main(["sequences", "hc-not-mixing", "--horizon", "2000",
+                 "--out", str(tmp_path)]) == 0
+    assert sorted(solved["_kappa_value"]) == sorted(w for w, _ in rows)
+    # the binary row's gamma is the closed form max(mu(0), mu(1))
+    assert sorted(solved["_gamma_exhaustive"]) == sorted(
+        w for w, _ in rows if len(w) > 2)
+
+
 def test_cli_sequences_trans_mixing_ends(tmp_path, capsys):
     start = time.perf_counter()
     code = main(["sequences", "trans-mixing", "--horizon", "8",
@@ -571,6 +610,17 @@ def test_cli_witness_over_budget_is_inconclusive(tmp_path, capsys):
     assert code == 1
     assert capsys.readouterr().out.startswith("witness inconclusive: ")
     assert not list(tmp_path.iterdir())
+
+
+def test_cli_witness_cap_does_not_lift_the_search_budget(tmp_path, capsys):
+    # --cap chooses the disjointness rung; the plan search stops at its own
+    # budget before computing any drop
+    start = time.perf_counter()
+    code = main(["witness", "ornstein", "--name", "transitivity",
+                 "--cap", str(10 ** 21), "--out", str(tmp_path)])
+    assert time.perf_counter() - start < 10
+    assert code == 1
+    assert capsys.readouterr().out.startswith("witness inconclusive: ")
 
 
 def test_cli_orbit(tmp_path):

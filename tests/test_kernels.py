@@ -21,11 +21,13 @@ from odolab.criteria import (GAMMA_BRUTE_CAP, _alpha, _alpha_value,
                              _mwis_path, _path_value, _solve_chains,
                              alpha_shift, alpha_shift_witness,
                              beta_sup, disjoint_shift_set_zplus,
-                             gamma_tilde_witness, gamma_witness, kappa, omega,
-                             theta, theta_witness)
+                             gamma_tilde_witness, gamma_witness, kappa,
+                             odometer_table, omega, theta, theta_witness)
 from odolab.errors import CapExceeded
 from odolab.scalars import integer_view
-from odolab.space import SystemSpec
+from odolab.space import AlphabetRule, MeasureFamily, SystemSpec
+
+from conftest import listed_spec
 
 
 # ---------------------------------------------------------------------------
@@ -417,3 +419,127 @@ def test_omega_matches_the_fraction_expression(m, m_next, kappa_param):
     got = omega(spec, 1, kappa_param)
     want = fraction_omega(spec, 1, kappa_param)
     assert same(got, want)
+
+
+# ---------------------------------------------------------------------------
+# odometer tables: one row per index, each distinct row solved once
+# ---------------------------------------------------------------------------
+
+def ascending_drop(w, k):
+    """The positive parts of w_j - w_{j+k}, added in ascending j from 0."""
+    total = 0 * w[0]
+    for j in range(len(w)):
+        d = w[j] - w[(j + k) % len(w)]
+        if d > 0:
+            total = total + d
+    return total
+
+
+def row(nums, as_float):
+    total = sum(nums)
+    return [x / total if as_float else Fraction(x, total) for x in nums]
+
+
+# a flat row with a few spikes leaves sparse optimal sets at high symbols,
+# where a frozenset does not iterate in ascending order
+spiky_nums = st.integers(2, 16).flatmap(lambda m: st.tuples(
+    st.integers(1, 3),
+    st.dictionaries(st.integers(0, m - 1), st.integers(1, 40), max_size=4),
+    st.just(m))).map(lambda t: [t[1].get(j, t[0]) for j in range(t[2])])
+row_nums = st.one_of(
+    spiky_nums,
+    st.integers(2, 16).flatmap(
+        lambda m: st.lists(st.integers(1, 9), min_size=m, max_size=m)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(row_nums, st.booleans())
+@example([1, 1, 1, 1, 1, 1, 2, 2, 5], True)       # D = {6, 8} at k = 3
+@example([1] * 8 + [7, 1, 1, 1, 1, 1, 9, 1], True)
+@example([3, 1, 1, 1, 1, 1, 1, 1, 5, 2, 1, 1, 1, 1, 1, 6], True)
+def test_value_only_theta_matches_theta_witness(nums, as_float):
+    w = row(nums, as_float)
+    spec = listed_spec("odometer", [w])
+    m = len(w)
+    for shift in [None, *range(2 * m + 1)]:
+        val, D, k = theta_witness(spec, 1, shift)
+        assert same(theta(spec, 1, shift), val)
+        if shift is not None:
+            assert k == shift % m and same(val, ascending_drop(w, k))
+        assert D == frozenset(j for j in range(m) if w[j] > w[(j + k) % m])
+    val, _, k = theta_witness(spec, 1)
+    drops = [ascending_drop(w, s) for s in range(1, m)]
+    assert same(val, max(drops, default=0 * w[0]))
+    assert k == (1 + drops.index(val) if val > 0 else 0)
+
+
+class BySizeMeasure(MeasureFamily):
+    """Test-only family: one weight vector per alphabet size, the last
+    listed of each size."""
+
+    name = "by-size-test"
+
+    def __init__(self, vectors):
+        super().__init__({})
+        self.vectors = {len(v): tuple(v) for v in vectors}
+
+    def weights(self, i, m):
+        return self.vectors[m]
+
+
+def per_index_table(spec, indices, kappa_param):
+    """odometer_row's entries from one theta/kappa/gamma_witness/omega call
+    per index."""
+    out = {}
+    for i in indices:
+        m = spec.m(i)
+        cells = {"eta": (spec.eta(i), "closed-form"),
+                 "delta": (spec.delta(i), "closed-form"),
+                 "theta": (theta(spec, i), "closed-form"),
+                 "kappa": (kappa(spec, i), "path-dp"),
+                 "gamma": (gamma_witness(spec, i)[0],
+                           "brute-force" if m <= GAMMA_BRUTE_CAP
+                           else "search-lower-bound")}
+        if kappa_param is not None:
+            cells["omega"] = (omega(spec, i, kappa_param), "closed-form")
+        for name, cell in cells.items():
+            out.setdefault(name, {})[i] = cell
+    return out
+
+
+vector_pool = st.lists(st.tuples(row_nums, st.booleans()), min_size=1,
+                       max_size=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(vector_pool, st.data(),
+       st.sampled_from([None, Fraction(1, 5), Fraction(1, 2), Fraction(1, 9)]))
+def test_odometer_table_matches_per_index_calls(pool, data, kappa_param):
+    vectors = [row(nums, as_float) for nums, as_float in pool]
+    picks = data.draw(st.lists(st.integers(0, len(vectors) - 1), min_size=1,
+                               max_size=10))
+    sizes = sorted({len(v) for v in vectors})
+    lo = data.draw(st.sampled_from(sizes))
+    hi = data.draw(st.sampled_from([m for m in sizes if m >= lo]))
+    specs = [
+        # listed rows repeat where a vector is picked twice, and past the list
+        listed_spec("odometer", [vectors[p] for p in picks]),
+        # a cycle of alphabet sizes repeats each size's row every cycle
+        SystemSpec(kind="odometer",
+                   alphabet=AlphabetRule("cycle-range", {"lo": lo, "hi": hi}),
+                   measure=BySizeMeasure(
+                       [row([1] * m, False) for m in range(lo, hi + 1)]
+                       + [v for v in vectors if lo <= len(v) <= hi])),
+    ]
+    for spec in specs:
+        indices = range(1, 3 * len(picks) + 1)
+        table = odometer_table(spec, indices, kappa_param)
+        want = per_index_table(spec, indices, kappa_param)
+        assert sorted(table.entries) == sorted(want)
+        for name, column in want.items():
+            assert table.entries[name].keys() == column.keys()
+            for i, (value, tag) in column.items():
+                got, got_tag, _ = table.entries[name][i]
+                assert same(got, value) and got_tag == tag, (name, i)
+        assert len(table.solved) == len({criteria._weights(spec, i)
+                                         for i in indices})
