@@ -25,10 +25,11 @@ passes; only the *_witness functions build chosen sets.  Each super-linear
 scan estimates its DP steps before it starts and raises CapExceeded past
 WORK_BUDGET.
 
-An odometer criteria table reads one row per index and runs theta, kappa,
-gamma and omega on it with the kernels above.  Identical rows are solved
-once per table, that is once per command, and the table yields its TSV rows
-one at a time for the writer to stream.
+An odometer criteria table reads one row per index and runs theta, kappa
+and gamma on it with the kernels above.  Identical rows are solved once
+per table, that is once per command (the table keeps at most VECTOR_CAP
+symbols of solved rows), and the table yields its TSV rows one at a time
+for the writer to stream.
 
 Limit statements are never decided numerically: numeric mode reports
 "satisfied-up-to-horizon" with an evidence trail, and true verdicts come only
@@ -44,7 +45,7 @@ from typing import Iterable, Optional, Sequence
 from .errors import CapExceeded, OdolabError, UnknownTheorem
 from .gallery import SATISFIED_CF, VIOLATED, closed_form_verdict
 from .scalars import Scalar, format_scalar
-from .space import SHIFT, SystemSpec
+from .space import SHIFT, VECTOR_CAP, SystemSpec
 
 GAMMA_BRUTE_CAP = 16
 WORK_BUDGET = 1 << 20     # steps one scan may take; checked before it starts
@@ -367,20 +368,15 @@ def _gamma_sweep(w: Sequence[Scalar], q: Optional[int]) -> tuple:
 
 def omega(spec: SystemSpec, i: int, kappa_param) -> Scalar:
     """Mass of the top interval of width kappa * m_i * m_{i+1} symbols."""
-    lo = _omega_start(spec, i, kappa_param)
-    return spec.interval_measure(i, lo, spec.m(i) - 1)
-
-
-def _omega_start(spec: SystemSpec, i: int, kappa_param) -> int:
-    """First symbol of omega's interval, ceil(m - 1 - k m m_next) clipped at
-    0; always <= m - 1, since k m m_next > 0."""
     k = Fraction(kappa_param)
     if not 0 < k < 1:
         raise ValueError("kappa must lie in (0, 1)")
     m = spec.m(i)
-    # with k = a/b, on integers
+    m_next = spec.m(i + 1)
+    # ceil(m - 1 - k m m_next) with k = a/b, on integers
     a, b = k.numerator, k.denominator
-    return max(0, -((a * m * spec.m(i + 1) - b * (m - 1)) // b))
+    lo = max(0, -((a * m * m_next - b * (m - 1)) // b))
+    return spec.interval_measure(i, lo, m - 1)
 
 
 def gamma_tilde(spec: SystemSpec, n: int, index_horizon: int) -> Scalar:
@@ -442,19 +438,30 @@ def salas_products(spec: SystemSpec, i: int, j: int, horizon: int) -> list:
 class CriteriaTable:
     """Computed criterion prefixes, each entry tagged with its optimizer.
 
-    `solved` maps each distinct _weights row an odometer table has read to
-    its (theta, kappa, gamma); it lives as long as the table.
+    `solved` maps distinct _weights rows an odometer table has read to their
+    (theta, kappa, gamma).  It lives as long as the table and holds rows of
+    at most VECTOR_CAP symbols in all (`held`); past that it starts over.
     """
 
     spec: SystemSpec
     entries: dict = field(default_factory=dict)   # name -> {index: (value, tag, note)}
     solved: dict = field(default_factory=dict, repr=False, compare=False)
+    held: int = field(default=0, repr=False, compare=False)
 
     def put(self, name: str, index, value, tag: str, note: str = ""):
         self.entries.setdefault(name, {})[index] = (value, tag, note)
 
     def get(self, name: str, index):
         return self.entries[name][index][0]
+
+    def remember(self, row: tuple, values: tuple) -> None:
+        """Keep a solved row's values, charged its m symbols."""
+        size = len(row[0])
+        if self.held + size > VECTOR_CAP:
+            self.solved.clear()
+            self.held = 0
+        self.solved[row] = values
+        self.held += size
 
     def columns(self) -> list:
         return sorted(self.entries)
@@ -488,31 +495,27 @@ def odometer_table(spec: SystemSpec, indices: Iterable[int],
 def odometer_row(table: CriteriaTable, i: int, kappa_param=None) -> None:
     """Put odometer_table's entries for index i, column by column.
 
-    theta, kappa, gamma and omega read one _weights row.  A row the table
-    has solved before reuses its values; a new row is solved and put one
-    column at a time, so a budget that stops kappa or gamma leaves the
-    columns before it put.  omega is the row's slice sum on an exact row; a
-    float row keeps spec.interval_measure, which may be a family's closed
-    form.
+    theta, kappa and gamma read one _weights row.  A row the table has
+    solved before reuses its values; a new row is solved and put one column
+    at a time, so a budget that stops kappa or gamma leaves the columns
+    before it put.
     """
     spec = table.spec
     table.put("eta", i, spec.eta(i), "closed-form")
     table.put("delta", i, spec.delta(i), "closed-form")
     row = w, q = _weights(spec, i)
-    m = len(w)
     tags = ("closed-form", "path-dp",
-            "brute-force" if m <= GAMMA_BRUTE_CAP else "search-lower-bound")
+            "brute-force" if len(w) <= GAMMA_BRUTE_CAP else "search-lower-bound")
+    known = table.solved.get(row)
     values = []
     for name, tag, value in zip(("theta", "kappa", "gamma"), tags,
-                                table.solved.get(row) or _row_values(w, q)):
+                                known or _row_values(w, q)):
         table.put(name, i, value, tag)
         values.append(value)
-    table.solved[row] = tuple(values)
+    if known is None:
+        table.remember(row, tuple(values))
     if kappa_param is not None:
-        lo = _omega_start(spec, i, kappa_param)
-        tail = (Fraction(sum(w[lo:]), q) if q is not None
-                else spec.interval_measure(i, lo, m - 1))
-        table.put("omega", i, tail, "closed-form")
+        table.put("omega", i, omega(spec, i, kappa_param), "closed-form")
 
 
 def _row_values(w: Sequence[Scalar], q: Optional[int]):

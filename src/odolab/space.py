@@ -822,9 +822,15 @@ class SystemSpec:
         return self.measure.delta(i, self.m(i))
 
     def interval_measure(self, i: int, lo: int, hi: int) -> Scalar:
-        if self._vector_default("interval_measure"):
+        """On an exact coordinate whose integer row the memo holds, the
+        slice sum of its numerators over one Fraction."""
+        if not self._vector_default("interval_measure"):
+            return self.measure.interval_measure(i, self.m(i), lo, hi)
+        ints = self._coord(i).ints
+        if ints is _UNSET or ints is None:
             return _interval_sum(self.mu(i), lo, hi, self.measure.backend)
-        return self.measure.interval_measure(i, self.m(i), lo, hi)
+        nums, q = ints
+        return Fraction(sum(nums[max(lo, 0):hi + 1]), q)
 
     def subset_measure(self, i: int, subset: Iterable[int]) -> Scalar:
         w = self.mu(i)

@@ -543,3 +543,24 @@ def test_odometer_table_matches_per_index_calls(pool, data, kappa_param):
                 assert same(got, value) and got_tag == tag, (name, i)
         assert len(table.solved) == len({criteria._weights(spec, i)
                                          for i in indices})
+
+
+def test_solved_rows_stay_within_the_vector_cap(monkeypatch):
+    # ornstein's rows never repeat (m_i = i + 1); with the cap at 40 symbols
+    # the table starts over several times and keeps its values
+    monkeypatch.setattr(criteria, "VECTOR_CAP", 40)
+    spec = gallery.get_spec("ornstein")
+    indices = range(1, 31)
+    table = criteria.CriteriaTable(spec=spec)
+    starts = 0
+    for i in indices:
+        before = len(table.solved)
+        criteria.odometer_row(table, i, Fraction(1, 5))
+        starts += len(table.solved) <= before
+        assert table.held == sum(len(w) for w, _ in table.solved) <= 40
+    assert starts >= 5
+    want = per_index_table(spec, indices, Fraction(1, 5))
+    for name, column in want.items():
+        for i, (value, tag) in column.items():
+            got, got_tag, _ = table.entries[name][i]
+            assert same(got, value) and got_tag == tag, (name, i)
