@@ -105,48 +105,28 @@ def cmd_classify(args, spec: SystemSpec) -> int:
 
 def cmd_sequences(args, spec: SystemSpec) -> int:
     from . import criteria
-    out_dir = Path(args.out)
-    kappa_param = args.kappa or Fraction(1, 5)
+    # (name, index letter, report suffix, fill) per table
     if spec.kind == ODOMETER:
-        table = criteria.CriteriaTable(spec=spec)
-        for i in range(1, args.horizon + 1):
-            try:
-                criteria.odometer_row(table, i, kappa_param)
-            except CapExceeded as exc:
-                print(f"odometer table stopped at i = {i}: {exc}")
-                break
-        path = out_dir / f"sequences-{_slug(args.spec)}.tsv"
-        write_tsv(path, table.to_tsv_rows())
-        print(f"report: {path}")
-        return 0
-    if spec.kind == TRANSLATION:
-        table = criteria.CriteriaTable(spec=spec)
-        for i in range(1, args.horizon + 1):
-            try:
-                table.put("eta", i, spec.eta(i), "closed-form")
-                table.put("delta", i, spec.delta(i), "closed-form")
-                table.put("beta", i, criteria.beta_sup(spec, i), "cycle-dp")
-            except CapExceeded as exc:
-                print(f"beta table stopped at i = {i}: {exc}")
-                break
-        shift_table = criteria.CriteriaTable(spec=spec)
-        idx_h = min(args.horizon, args.index_horizon)
-        for n in range(1, args.horizon + 1):
-            try:
-                shift_table.put("gamma_n", n,
-                                criteria.gamma_translation(spec, n, idx_h),
-                                "cycle-dp", note="horizon-limited")
-                shift_table.put("gamma_tilde", n,
-                                criteria.gamma_tilde(spec, n, idx_h),
-                                "prefix-scan", note="lower-bound")
-            except CapExceeded as exc:
-                print(f"gamma table stopped at n = {n}: {exc}")
-                break
-        p1 = out_dir / f"sequences-{_slug(args.spec)}.tsv"
-        p2 = out_dir / f"sequences-{_slug(args.spec)}-shifts.tsv"
-        write_tsv(p1, table.to_tsv_rows())
-        write_tsv(p2, shift_table.to_tsv_rows())
-        print(f"reports: {p1} {p2}")
+        tables = [("odometer", "i", "", criteria.odometer_filler(
+            spec, args.kappa or Fraction(1, 5)))]
+    elif spec.kind == TRANSLATION:
+        by_index, by_shift = criteria.translation_fillers(
+            spec, min(args.horizon, args.index_horizon))
+        tables = [("beta", "i", "", by_index),
+                  ("gamma", "n", "-shifts", by_shift)]
+    else:
+        tables = []
+    paths = []
+    for name, letter, suffix, fill in tables:
+        rows, stop = criteria.table_rows(fill, range(1, args.horizon + 1))
+        if stop is not None:
+            print(f"{name} table stopped at {letter} = {stop[0]}: {stop[1]}")
+        path = Path(args.out) / f"sequences-{_slug(args.spec)}{suffix}.tsv"
+        write_tsv(path, criteria.tsv_rows(rows))
+        paths.append(path)
+    if paths:
+        label = "report" if len(paths) == 1 else "reports"
+        print(f"{label}: " + " ".join(str(path) for path in paths))
         return 0
     rows = [("n",) + tuple(f"prod({i},{i})" for i in range(-2, 3))]
     for n in range(1, args.horizon + 1):

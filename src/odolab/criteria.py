@@ -25,11 +25,10 @@ passes; only the *_witness functions build chosen sets.  Each super-linear
 scan estimates its DP steps before it starts and raises CapExceeded past
 WORK_BUDGET.
 
-An odometer criteria table reads one row per index and runs theta, kappa
-and gamma on it with the kernels above.  Identical rows are solved once
-per table, that is once per command (the table keeps at most VECTOR_CAP
-symbols of solved rows), and the table yields its TSV rows one at a time
-for the writer to stream.
+A criteria table is a list of (index, cells) rows, filled column by column
+until a budget stops it.  An odometer row runs theta, kappa and gamma on
+one weight row; a repeated weight row reuses its cells (at most VECTOR_CAP
+symbols of rows are kept, for one command), and the TSV is streamed.
 
 Limit statements are never decided numerically: numeric mode reports
 "satisfied-up-to-horizon" with an evidence trail, and true verdicts come only
@@ -379,6 +378,13 @@ def omega(spec: SystemSpec, i: int, kappa_param) -> Scalar:
     return spec.interval_measure(i, lo, m - 1)
 
 
+def tilted_mass(spec: SystemSpec, i: int, j: int, kappa_param) -> Scalar:
+    """The ufhc tilt: mu_{i-1}([ceil(m - kappa j m), m - 1]), m = m_{i-1}."""
+    m_prev = spec.m(i - 1)
+    lo = math.ceil(m_prev - kappa_param * j * m_prev)
+    return spec.interval_measure(i - 1, lo, m_prev - 1)
+
+
 def gamma_tilde(spec: SystemSpec, n: int, index_horizon: int) -> Scalar:
     return gamma_tilde_witness(spec, n, index_horizon)[0]
 
@@ -431,98 +437,86 @@ def salas_products(spec: SystemSpec, i: int, j: int, horizon: int) -> list:
 
 
 # ---------------------------------------------------------------------------
-# criteria table
+# criteria tables
 # ---------------------------------------------------------------------------
 
-@dataclass
-class CriteriaTable:
-    """Computed criterion prefixes, each entry tagged with its optimizer.
-
-    `solved` maps distinct _weights rows an odometer table has read to their
-    (theta, kappa, gamma).  It lives as long as the table and holds rows of
-    at most VECTOR_CAP symbols in all (`held`); past that it starts over.
-    """
-
-    spec: SystemSpec
-    entries: dict = field(default_factory=dict)   # name -> {index: (value, tag, note)}
-    solved: dict = field(default_factory=dict, repr=False, compare=False)
-    held: int = field(default=0, repr=False, compare=False)
-
-    def put(self, name: str, index, value, tag: str, note: str = ""):
-        self.entries.setdefault(name, {})[index] = (value, tag, note)
-
-    def get(self, name: str, index):
-        return self.entries[name][index][0]
-
-    def remember(self, row: tuple, values: tuple) -> None:
-        """Keep a solved row's values, charged its m symbols."""
-        size = len(row[0])
-        if self.held + size > VECTOR_CAP:
-            self.solved.clear()
-            self.held = 0
-        self.solved[row] = values
-        self.held += size
-
-    def columns(self) -> list:
-        return sorted(self.entries)
-
-    def to_tsv_rows(self):
-        """The header, then one row per index, yielded one at a time."""
-        cols = self.columns()
-        indices = sorted({i for col in cols for i in self.entries[col]},
-                         key=lambda x: (isinstance(x, tuple), x))
-        yield ("index",) + tuple(cols) + ("optimizers",)
-        for i in indices:
-            vals = []
-            tags = []
-            for c in cols:
-                cell = self.entries[c].get(i)
-                vals.append(format_scalar(cell[0]) if cell else "")
-                if cell:
-                    tags.append(f"{c}={cell[1]}")
-            yield (str(i),) + tuple(vals) + (";".join(tags),)
-
-
-def odometer_table(spec: SystemSpec, indices: Iterable[int],
-                   kappa_param=None) -> CriteriaTable:
-    """eta, delta, theta, kappa, gamma (and omega at a given kappa) per index."""
-    table = CriteriaTable(spec=spec)
+def table_rows(fill, indices: Iterable) -> tuple:
+    """(rows, stop): an (index, cells) row per index, in order, where
+    fill(cells, i) puts (value, tag) cells one column at a time.  The first
+    CapExceeded ends the rows with stop = (i, error), row i keeping the
+    columns put before it; stop is None otherwise."""
+    rows = []
     for i in indices:
-        odometer_row(table, i, kappa_param)
-    return table
+        cells = {}
+        rows.append((i, cells))
+        try:
+            fill(cells, i)
+        except CapExceeded as exc:
+            return rows, (i, exc)
+    return rows, None
 
 
-def odometer_row(table: CriteriaTable, i: int, kappa_param=None) -> None:
-    """Put odometer_table's entries for index i, column by column.
+def tsv_rows(rows: list):
+    """The header (the rows' columns, sorted), then each non-empty row with
+    its optimizer tags, yielded one at a time."""
+    cols = sorted({c for _, cells in rows for c in cells})
+    yield ("index", *cols, "optimizers")
+    for i, cells in rows:
+        if cells:
+            got = [cells.get(c) for c in cols]
+            yield (str(i), *(format_scalar(v[0]) if v else "" for v in got),
+                   ";".join(f"{c}={v[1]}" for c, v in zip(cols, got) if v))
 
-    theta, kappa and gamma read one _weights row.  A row the table has
-    solved before reuses its values; a new row is solved and put one column
-    at a time, so a budget that stops kappa or gamma leaves the columns
-    before it put.
+
+def odometer_filler(spec: SystemSpec, kappa_param=None):
+    """fill for eta, delta, theta, kappa, gamma (and omega at a given kappa).
+
+    theta, kappa and gamma read one _weights row.  Each distinct row's three
+    cells are kept, at most VECTOR_CAP symbols of rows (then the store starts
+    over), and a repeated row reuses them.  A new row is put column by
+    column, so a budget that stops kappa or gamma leaves theta.
     """
-    spec = table.spec
-    table.put("eta", i, spec.eta(i), "closed-form")
-    table.put("delta", i, spec.delta(i), "closed-form")
-    row = w, q = _weights(spec, i)
-    tags = ("closed-form", "path-dp",
-            "brute-force" if len(w) <= GAMMA_BRUTE_CAP else "search-lower-bound")
-    known = table.solved.get(row)
-    values = []
-    for name, tag, value in zip(("theta", "kappa", "gamma"), tags,
-                                known or _row_values(w, q)):
-        table.put(name, i, value, tag)
-        values.append(value)
-    if known is None:
-        table.remember(row, tuple(values))
-    if kappa_param is not None:
-        table.put("omega", i, omega(spec, i, kappa_param), "closed-form")
+    solved = {}
+    held = 0
+
+    def fill(cells: dict, i: int) -> None:
+        nonlocal held
+        cells["eta"] = (spec.eta(i), "closed-form")
+        cells["delta"] = (spec.delta(i), "closed-form")
+        row = w, q = _weights(spec, i)
+        known = solved.get(row)
+        if known is None:
+            cells["theta"] = (_scalar(_theta_value(w), q), "closed-form")
+            cells["kappa"] = (_scalar(_kappa_value(w), q), "path-dp")
+            tag = ("brute-force" if len(w) <= GAMMA_BRUTE_CAP
+                   else "search-lower-bound")
+            cells["gamma"] = (_scalar(_gamma_row(w, q)[0], q), tag)
+            if held + len(w) > VECTOR_CAP:
+                solved.clear()
+                held = 0
+            solved[row] = cells["theta"], cells["kappa"], cells["gamma"]
+            held += len(w)
+        else:
+            cells["theta"], cells["kappa"], cells["gamma"] = known
+        if kappa_param is not None:
+            cells["omega"] = (omega(spec, i, kappa_param), "closed-form")
+    return fill
 
 
-def _row_values(w: Sequence[Scalar], q: Optional[int]):
-    """theta, kappa and gamma of one _weights row, each solved when asked."""
-    yield _scalar(_theta_value(w), q)
-    yield _scalar(_kappa_value(w), q)
-    yield _scalar(_gamma_row(w, q)[0], q)
+def translation_fillers(spec: SystemSpec, index_horizon: int) -> tuple:
+    """fills for a translation's two tables: eta, delta and beta per index
+    i, and gamma_n and gamma~ per shift n over the indices <= index_horizon."""
+    def by_index(cells: dict, i: int) -> None:
+        cells["eta"] = (spec.eta(i), "closed-form")
+        cells["delta"] = (spec.delta(i), "closed-form")
+        cells["beta"] = (beta_sup(spec, i), "cycle-dp")
+
+    def by_shift(cells: dict, n: int) -> None:
+        cells["gamma_n"] = (gamma_translation(spec, n, index_horizon),
+                            "cycle-dp")
+        cells["gamma_tilde"] = (gamma_tilde(spec, n, index_horizon),
+                                "prefix-scan")
+    return by_index, by_shift
 
 
 # ---------------------------------------------------------------------------
@@ -667,9 +661,7 @@ def _rule_ufhc_odometer(spec, horizon, params):
             gval, D, j = gamma_witness(spec, i)
             if float(gval) <= 1 - dl:
                 continue
-            m_prev = spec.m(i - 1)
-            lo = math.ceil(m_prev - kappa_param * j * m_prev)
-            tilted = spec.interval_measure(i - 1, lo, m_prev - 1)
+            tilted = tilted_mass(spec, i, j, kappa_param)
             if float(tilted) < dl:
                 found[dl] = {"i": i, "j": j, "interval_mass": float(tilted)}
                 break

@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 
 from .criteria import (alpha_shift, alpha_shift_witness, charge_work,
                        disjoint_shift_set_zplus, gamma_witness,
-                       kappa as kappa_seq, omega, theta_witness)
+                       kappa as kappa_seq, omega, theta_witness, tilted_mass)
 from .errors import (CapExceeded, HypothesisUnavailable,
                      NotFoundWithinHorizon, StrategyInfeasible, WindowTooSmall)
 from .maps import (chain_measure, chain_pass, forward_image_measure,
@@ -743,9 +743,7 @@ def ufhc_count(spec: SystemSpec, epsilon: float, kappa_param=Fraction(1, 5),
             gval, D, j = gamma_witness(spec, i)
             if 1 - float(gval) >= delta_target:
                 continue
-            m_prev = spec.m(i - 1)
-            lo = math.ceil(m_prev - kappa_param * j * m_prev)
-            tilt = spec.interval_measure(i - 1, lo, m_prev - 1)
+            tilt = tilted_mass(spec, i, j, kappa_param)
             if float(tilt) < delta_target:
                 found = (i, D, j, tilt)
                 break

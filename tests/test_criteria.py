@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -8,8 +9,9 @@ from odolab import gallery
 from odolab import criteria
 from odolab.criteria import (alpha_shift, beta_sup, contradicts, evaluate,
                              gamma_odometer, gamma_tilde, gamma_tilde_witness,
-                             gamma_witness, kappa, odometer_table, omega,
-                             salas_products, theta, theta_witness)
+                             gamma_witness, kappa, odometer_filler, omega,
+                             salas_products, table_rows, theta,
+                             theta_witness, tilted_mass, tsv_rows)
 from odolab.errors import CapExceeded, UnknownTheorem
 from odolab.maps import boundedness
 
@@ -144,6 +146,23 @@ def test_omega_examples(fhc_binary):
                                     [Fraction(1, 2), Fraction(1, 2)]])
     # interval [m-1 - kappa m m', m-1] = [2, 3] for kappa = 1/8, m=4, m'=2
     assert omega(spec, 1, Fraction(1, 8)) == Fraction(1, 2)
+
+
+def test_tilted_mass_sums_the_top_interval():
+    # m_{i-1} = 4 and kappa = 1/5: the interval starts at ceil(4 - 4/5 j),
+    # at 4, 4, 3, 1 and 0 for j = 0, 1, 2, 4, 5, and at 0 again past j = 5
+    w = [Fraction(1, 8), Fraction(3, 8), Fraction(1, 4), Fraction(1, 4)]
+    spec = listed_spec("odometer", [w, [Fraction(1, 2), Fraction(1, 2)]])
+    for j, lo in [(0, 4), (1, 4), (2, 3), (4, 1), (5, 0), (6, 0)]:
+        assert tilted_mass(spec, 2, j, Fraction(1, 5)) == sum(w[lo:],
+                                                              Fraction(0))
+    spec = gallery.get_spec("fhc-not-mixing")
+    for i in range(2, 12):
+        m = spec.m(i - 1)
+        for j in range(1, spec.m(i)):
+            lo = max(0, math.ceil(m - Fraction(1, 8) * j * m))
+            assert tilted_mass(spec, i, j, Fraction(1, 8)) == sum(
+                (spec.mu_weight(i - 1, x) for x in range(lo, m)), Fraction(0))
 
 
 def test_alpha_examples():
@@ -350,8 +369,45 @@ def test_salas_products_shift_z():
 
 
 def test_odometer_table_layout(fhc_binary):
-    table = odometer_table(fhc_binary, range(1, 6), kappa_param=Fraction(1, 5))
-    rows = list(table.to_tsv_rows())
-    assert rows[0][:3] == ("index", "delta", "eta")
-    assert len(rows) == 6
-    assert table.get("gamma", 4) == Fraction(4, 5)
+    rows, stop = table_rows(odometer_filler(fhc_binary, Fraction(1, 5)),
+                            range(1, 6))
+    assert stop is None
+    lines = list(tsv_rows(rows))
+    assert lines[0][:3] == ("index", "delta", "eta")
+    assert len(lines) == 6
+    assert dict(rows)[4]["gamma"] == (Fraction(4, 5), "brute-force")
+
+
+def test_table_rows_stop_at_the_first_budget():
+    exc = CapExceeded("over budget")
+
+    def fill(cells, i):
+        cells["b"] = (Fraction(i, 2), "two")
+        cells["a"] = (i, "one")
+        if i == 3:
+            raise exc
+        cells["c"] = (0.5, "three")
+
+    rows, stop = table_rows(fill, range(1, 10))
+    assert [i for i, _ in rows] == [1, 2, 3]
+    assert rows[2][1] == {"b": (Fraction(3, 2), "two"), "a": (3, "one")}
+    assert stop[0] == 3 and stop[1] is exc
+    lines = list(tsv_rows(rows))
+    assert lines[0] == ("index", "a", "b", "c", "optimizers")
+    assert lines[1] == ("1", "1", "1/2", "0.5", "a=one;b=two;c=three")
+    assert lines[3] == ("3", "3", "3/2", "", "a=one;b=two")
+    assert len(lines) == 4
+
+
+def test_table_rows_skip_a_row_stopped_before_its_first_column():
+    def fill(cells, i):
+        if i == 2:
+            raise CapExceeded("over budget")
+        cells["a"] = (i, "one")
+
+    rows, stop = table_rows(fill, range(1, 4))
+    assert rows == [(1, {"a": (1, "one")}), (2, {})] and stop[0] == 2
+    assert list(tsv_rows(rows)) == [("index", "a", "optimizers"),
+                                    ("1", "1", "a=one")]
+    rows, stop = table_rows(fill, range(2, 4))
+    assert list(tsv_rows(rows)) == [("index", "optimizers")]

@@ -378,6 +378,46 @@ def test_cli_sequences_odometer_bytes(tmp_path, args):
         SEQUENCES_ODOMETER[args]
 
 
+# sha256 of the weighted-shift Salas tables at --horizon 20, as written
+# before the criteria tables became plain rows
+SEQUENCES_SHIFT = {
+    "shift-z":
+        "85df52d21caf6726ce48d87d1eb0753db0d445cfd1bb83deef7f52640668fa8e",
+    "shift-zplus":
+        "af5929c9841f687c957ebdb8c488a34f0fb4a75de143ac442e4d9000b623ee9c",
+}
+
+
+@pytest.mark.parametrize("gid", list(SEQUENCES_SHIFT))
+def test_cli_sequences_shift_bytes(tmp_path, capsys, gid):
+    code = main(["sequences", gid, "--horizon", "20", "--out", str(tmp_path)])
+    assert code == 0
+    [report] = tmp_path.iterdir()
+    assert capsys.readouterr().out == f"report: {report}\n"
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == \
+        SEQUENCES_SHIFT[gid]
+
+
+def test_cli_sequences_translation_stops_both_tables(tmp_path, capsys):
+    # m_i = 4^i: beta stops on its budget at i = 6, and gamma_n at n = 1
+    # reads every index up to 12, where m_9 is past the materialization cap
+    code = main(["sequences", "trans-mixing", "--horizon", "12",
+                 "--index-horizon", "12", "--out", str(tmp_path)])
+    assert code == 0
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 3
+    assert out[0].startswith("beta table stopped at i = 6: ")
+    assert out[1].startswith("gamma table stopped at n = 1: alphabet of size "
+                             "262144 ")
+    assert out[2].startswith("reports: ")
+    beta = _column(tmp_path / "sequences-trans-mixing.tsv", "beta")
+    # the stopped row keeps eta and delta
+    assert sorted(beta) == list(range(1, 7))
+    assert [i for i, v in beta.items() if v] == list(range(1, 6))
+    shifts = tmp_path / "sequences-trans-mixing-shifts.tsv"
+    assert shifts.read_text() == "index\toptimizers\n"
+
+
 def test_cli_sequences_solves_each_distinct_row_once(tmp_path, monkeypatch):
     from odolab import criteria
     spec = get_spec("hc-not-mixing")

@@ -10,6 +10,7 @@ indices; on floats that means bit for bit.
 """
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -22,7 +23,8 @@ from odolab.criteria import (GAMMA_BRUTE_CAP, _alpha, _alpha_value,
                              alpha_shift, alpha_shift_witness,
                              beta_sup, disjoint_shift_set_zplus,
                              gamma_tilde_witness, gamma_witness, kappa,
-                             odometer_table, omega, theta, theta_witness)
+                             odometer_filler, omega, table_rows, theta,
+                             theta_witness)
 from odolab.errors import CapExceeded
 from odolab.scalars import integer_view
 from odolab.space import AlphabetRule, MeasureFamily, SystemSpec
@@ -488,7 +490,7 @@ class BySizeMeasure(MeasureFamily):
 
 
 def per_index_table(spec, indices, kappa_param):
-    """odometer_row's entries from one theta/kappa/gamma_witness/omega call
+    """odometer_filler's cells from one theta/kappa/gamma_witness/omega call
     per index."""
     out = {}
     for i in indices:
@@ -533,34 +535,46 @@ def test_odometer_table_matches_per_index_calls(pool, data, kappa_param):
     ]
     for spec in specs:
         indices = range(1, 3 * len(picks) + 1)
-        table = odometer_table(spec, indices, kappa_param)
-        want = per_index_table(spec, indices, kappa_param)
-        assert sorted(table.entries) == sorted(want)
-        for name, column in want.items():
-            assert table.entries[name].keys() == column.keys()
-            for i, (value, tag) in column.items():
-                got, got_tag, _ = table.entries[name][i]
-                assert same(got, value) and got_tag == tag, (name, i)
-        assert len(table.solved) == len({criteria._weights(spec, i)
-                                         for i in indices})
+        with mock.patch.object(criteria, "_kappa_value",
+                               side_effect=criteria._kappa_value) as solve:
+            rows, stop = table_rows(odometer_filler(spec, kappa_param), indices)
+        assert stop is None and [i for i, _ in rows] == list(indices)
+        # each distinct row is solved once
+        assert solve.call_count == len({criteria._weights(spec, i)
+                                        for i in indices})
+        assert_cells_match(rows, per_index_table(spec, indices, kappa_param))
+
+
+def assert_cells_match(rows, want):
+    """Every row holds exactly the oracle's columns, equal in value, type
+    and tag."""
+    for i, cells in rows:
+        assert sorted(cells) == sorted(want)
+        for name, (got, got_tag) in cells.items():
+            value, tag = want[name][i]
+            assert same(got, value) and got_tag == tag, (name, i)
 
 
 def test_solved_rows_stay_within_the_vector_cap(monkeypatch):
-    # ornstein's rows never repeat (m_i = i + 1); with the cap at 40 symbols
-    # the table starts over several times and keeps its values
-    monkeypatch.setattr(criteria, "VECTOR_CAP", 40)
-    spec = gallery.get_spec("ornstein")
-    indices = range(1, 31)
-    table = criteria.CriteriaTable(spec=spec)
-    starts = 0
-    for i in indices:
-        before = len(table.solved)
-        criteria.odometer_row(table, i, Fraction(1, 5))
-        starts += len(table.solved) <= before
-        assert table.held == sum(len(w) for w, _ in table.solved) <= 40
-    assert starts >= 5
+    # alphabets 2..9 on a cycle: 44 symbols of distinct rows per cycle.  Over
+    # three cycles each row is solved once, unless a cap of 40 symbols makes
+    # the kept rows start over within every cycle and rows are solved again.
+    spec = SystemSpec(kind="odometer",
+                      alphabet=AlphabetRule("cycle-range", {"lo": 2, "hi": 9}),
+                      measure=BySizeMeasure([row(list(range(1, m + 1)), False)
+                                             for m in range(2, 10)]))
+    indices = range(1, 3 * 8 + 1)
     want = per_index_table(spec, indices, Fraction(1, 5))
-    for name, column in want.items():
-        for i, (value, tag) in column.items():
-            got, got_tag, _ = table.entries[name][i]
-            assert same(got, value) and got_tag == tag, (name, i)
+
+    def solves():
+        with mock.patch.object(criteria, "_kappa_value",
+                               side_effect=criteria._kappa_value) as solve:
+            rows, stop = table_rows(odometer_filler(spec, Fraction(1, 5)),
+                                    indices)
+        assert stop is None
+        assert_cells_match(rows, want)
+        return solve.call_count
+
+    assert solves() == 8
+    monkeypatch.setattr(criteria, "VECTOR_CAP", 40)
+    assert 8 < solves() <= len(indices)
