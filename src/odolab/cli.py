@@ -20,7 +20,8 @@ from pathlib import Path
 
 from . import gallery
 from .errors import (CapExceeded, HypothesisUnavailable,
-                     NotFoundWithinHorizon, OdolabError, StrategyInfeasible)
+                     NotFoundWithinHorizon, OdolabError, SpecError,
+                     StrategyInfeasible)
 from .scalars import parse_scalar
 from .space import (ODOMETER, SHIFT, TRANSLATION, DepthSet, SystemSpec,
                     atomless_monitor)
@@ -51,10 +52,15 @@ def load_spec(identifier: str) -> SystemSpec:
 
 
 def write_tsv(path: Path, rows) -> None:
+    """Write each row as it comes; rows cut short by an error leave no file."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w") as fh:
-        for row in rows:
-            fh.write("\t".join(str(c) for c in row) + "\n")
+    try:
+        with path.open("w") as fh:
+            for row in rows:
+                fh.write("\t".join(str(c) for c in row) + "\n")
+    except BaseException:
+        path.unlink(missing_ok=True)
+        raise
 
 
 def write_json(path: Path, doc) -> None:
@@ -118,11 +124,12 @@ def cmd_sequences(args, spec: SystemSpec) -> int:
         tables = []
     paths = []
     for name, letter, suffix, fill in tables:
-        rows, stop = criteria.table_rows(fill, range(1, args.horizon + 1))
-        if stop is not None:
-            print(f"{name} table stopped at {letter} = {stop[0]}: {stop[1]}")
         path = Path(args.out) / f"sequences-{_slug(args.spec)}{suffix}.tsv"
-        write_tsv(path, criteria.tsv_rows(rows))
+        stop = []
+        write_tsv(path, criteria.table_lines(fill, range(1, args.horizon + 1),
+                                             stop))
+        for i, exc in stop:
+            print(f"{name} table stopped at {letter} = {i}: {exc}")
         paths.append(path)
     if paths:
         label = "report" if len(paths) == 1 else "reports"
@@ -220,6 +227,8 @@ def cmd_orbit(args, spec: SystemSpec) -> int:
         fixed = {i: {s} for i, s in enumerate(symbols, start=1)}
         try:
             sets.append(DepthSet.cylinder(spec, depth, fixed))
+        except SpecError:
+            raise
         except ValueError as exc:
             print(f"odolab orbit: error: argument {flag}: {exc}",
                   file=sys.stderr)
@@ -407,6 +416,9 @@ def main(argv=None) -> int:
     except OdolabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except SpecError as exc:     # a coordinate past the first breaks its rule
+        print(f"bad spec: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -25,10 +25,10 @@ passes; only the *_witness functions build chosen sets.  Each super-linear
 scan estimates its DP steps before it starts and raises CapExceeded past
 WORK_BUDGET.
 
-A criteria table is a list of (index, cells) rows, filled column by column
-until a budget stops it.  An odometer row runs theta, kappa and gamma on
-one weight row; a repeated weight row reuses its cells (at most VECTOR_CAP
-symbols of rows are kept, for one command), and the TSV is streamed.
+A criteria table is filled row by row, column by column, until a budget
+stops it, and each row goes out as a TSV line once it is filled.  An
+odometer row runs theta, kappa and gamma on one weight row; a weight row
+among the SOLVED_ROWS most recently used reuses its cells.
 
 Limit statements are never decided numerically: numeric mode reports
 "satisfied-up-to-horizon" with an evidence trail, and true verdicts come only
@@ -44,11 +44,12 @@ from typing import Iterable, Optional, Sequence
 from .errors import CapExceeded, OdolabError, UnknownTheorem
 from .gallery import SATISFIED_CF, VIOLATED, closed_form_verdict
 from .scalars import Scalar, format_scalar
-from .space import SHIFT, VECTOR_CAP, SystemSpec
+from .space import SHIFT, SystemSpec
 
 GAMMA_BRUTE_CAP = 16
 WORK_BUDGET = 1 << 20     # steps one scan may take; checked before it starts
 FLOAT_ROW_CAP = 1 << 13   # widest alphabet the float translation rules read
+SOLVED_ROWS = 64          # distinct weight rows an odometer table keeps solved
 
 
 def _weights(spec: SystemSpec, i: int) -> tuple:
@@ -440,64 +441,57 @@ def salas_products(spec: SystemSpec, i: int, j: int, horizon: int) -> list:
 # criteria tables
 # ---------------------------------------------------------------------------
 
-def table_rows(fill, indices: Iterable) -> tuple:
-    """(rows, stop): an (index, cells) row per index, in order, where
-    fill(cells, i) puts (value, tag) cells one column at a time.  The first
-    CapExceeded ends the rows with stop = (i, error), row i keeping the
-    columns put before it; stop is None otherwise."""
-    rows = []
+def table_lines(fill, indices: Iterable, stop: list):
+    """A table's TSV lines, each yielded once its row is filled; no row is
+    kept.  fill(cells, i) puts row i's (value, tag) cells one column at a
+    time.  The header is the first row's columns, sorted (every fill puts the
+    same columns).  The first CapExceeded ends the table after row i's
+    columns and appends (i, error) to stop; an empty row is left out."""
+    cols = None
     for i in indices:
         cells = {}
-        rows.append((i, cells))
         try:
             fill(cells, i)
         except CapExceeded as exc:
-            return rows, (i, exc)
-    return rows, None
-
-
-def tsv_rows(rows: list):
-    """The header (the rows' columns, sorted), then each non-empty row with
-    its optimizer tags, yielded one at a time."""
-    cols = sorted({c for _, cells in rows for c in cells})
-    yield ("index", *cols, "optimizers")
-    for i, cells in rows:
+            stop.append((i, exc))
+        if cols is None:
+            cols = sorted(cells)
+            yield ("index", *cols, "optimizers")
         if cells:
             got = [cells.get(c) for c in cols]
             yield (str(i), *(format_scalar(v[0]) if v else "" for v in got),
                    ";".join(f"{c}={v[1]}" for c, v in zip(cols, got) if v))
+        if stop:
+            return
 
 
 def odometer_filler(spec: SystemSpec, kappa_param=None):
     """fill for eta, delta, theta, kappa, gamma (and omega at a given kappa).
 
-    theta, kappa and gamma read one _weights row.  Each distinct row's three
-    cells are kept, at most VECTOR_CAP symbols of rows (then the store starts
-    over), and a repeated row reuses them.  A new row is put column by
-    column, so a budget that stops kappa or gamma leaves theta.
+    theta, kappa and gamma read one _weights row.  The SOLVED_ROWS most
+    recently used rows keep their three cells for reuse; an older row is
+    solved again.  A new row is put column by column, so a budget that
+    stops kappa or gamma leaves theta.
     """
-    solved = {}
-    held = 0
+    solved = {}     # row -> cells, least recently used first
 
     def fill(cells: dict, i: int) -> None:
-        nonlocal held
         cells["eta"] = (spec.eta(i), "closed-form")
         cells["delta"] = (spec.delta(i), "closed-form")
         row = w, q = _weights(spec, i)
-        known = solved.get(row)
+        known = solved.pop(row, None)
         if known is None:
             cells["theta"] = (_scalar(_theta_value(w), q), "closed-form")
             cells["kappa"] = (_scalar(_kappa_value(w), q), "path-dp")
             tag = ("brute-force" if len(w) <= GAMMA_BRUTE_CAP
                    else "search-lower-bound")
             cells["gamma"] = (_scalar(_gamma_row(w, q)[0], q), tag)
-            if held + len(w) > VECTOR_CAP:
-                solved.clear()
-                held = 0
-            solved[row] = cells["theta"], cells["kappa"], cells["gamma"]
-            held += len(w)
+            known = cells["theta"], cells["kappa"], cells["gamma"]
+            if len(solved) >= SOLVED_ROWS:
+                del solved[next(iter(solved))]
         else:
             cells["theta"], cells["kappa"], cells["gamma"] = known
+        solved[row] = known
         if kappa_param is not None:
             cells["omega"] = (omega(spec, i, kappa_param), "closed-form")
     return fill

@@ -15,6 +15,13 @@ class CapExceeded(OdolabError):
     """
 
 
+class SpecError(ValueError):
+    """A coordinate breaks its spec's rule at some index: a bad spec (exit 2).
+
+    Not an OdolabError, so no verdict or table stop absorbs it.
+    """
+
+
 class CarryOverflow(OdolabError):
     """A carry propagated past the available prefix depth; deepen the prefix."""
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
-from .errors import BracketFailure, CapExceeded
+from .errors import BracketFailure, CapExceeded, SpecError
 from .scalars import (FLOAT_TOL, Scalar, integer_view, is_exact, parse_scalar,
                       scalar_sum)
 
@@ -48,7 +48,7 @@ class AlphabetRule:
             raise ValueError("coordinate indices start at 1")
         size = self._fn(i, self.params)
         if size < 2:
-            raise ValueError(f"alphabet rule produced m_{i}={size} < 2")
+            raise SpecError(f"alphabet rule produced m_{i}={size} < 2")
         return size
 
     def bounded_lcm(self) -> Optional[int]:
@@ -239,7 +239,7 @@ class SameMeasure(MeasureFamily):
 
     def weights(self, i, m):
         if m != len(self._nu):
-            raise ValueError("alphabet size does not match the fixed vector")
+            raise SpecError("alphabet size does not match the fixed vector")
         return self._nu
 
 
@@ -250,7 +250,7 @@ class OrnsteinMeasure(MeasureFamily):
 
     def weights(self, i, m):
         if m != i + 1:
-            raise ValueError("this measure family expects m_i = i + 1")
+            raise SpecError("this measure family expects m_i = i + 1")
         _check_vector_cap(m)
         return (Fraction(1, 2),) + (Fraction(1, 2 * i),) * i
 
@@ -297,7 +297,7 @@ class BinaryHalfPlusMeasure(MeasureFamily):
 
     def weights(self, i, m):
         if m != 2:
-            raise ValueError("binary measure family on a non-binary alphabet")
+            raise SpecError("binary measure family on a non-binary alphabet")
         p = self.perturbation(i)
         if self._rational:
             return (Fraction(1, 2) + p, Fraction(1, 2) - p)
@@ -311,7 +311,7 @@ class BinaryRatioMeasure(MeasureFamily):
 
     def weights(self, i, m):
         if m != 2:
-            raise ValueError("binary measure family on a non-binary alphabet")
+            raise SpecError("binary measure family on a non-binary alphabet")
         return (Fraction(i, i + 1), Fraction(1, i + 1))
 
 
@@ -328,7 +328,7 @@ class BlocksOfThreeMeasure(MeasureFamily):
 
     def weights(self, i, m):
         if m != 2:
-            raise ValueError("binary measure family on a non-binary alphabet")
+            raise SpecError("binary measure family on a non-binary alphabet")
         if i <= 3:
             return (Fraction(1, 2), Fraction(1, 2))
         k, r = divmod(i - 1, 3)

@@ -10,8 +10,8 @@ from odolab import criteria
 from odolab.criteria import (alpha_shift, beta_sup, contradicts, evaluate,
                              gamma_odometer, gamma_tilde, gamma_tilde_witness,
                              gamma_witness, kappa, odometer_filler, omega,
-                             salas_products, table_rows, theta,
-                             theta_witness, tilted_mass, tsv_rows)
+                             salas_products, table_lines, theta,
+                             theta_witness, tilted_mass)
 from odolab.errors import CapExceeded, UnknownTheorem
 from odolab.maps import boundedness
 
@@ -369,34 +369,41 @@ def test_salas_products_shift_z():
 
 
 def test_odometer_table_layout(fhc_binary):
-    rows, stop = table_rows(odometer_filler(fhc_binary, Fraction(1, 5)),
-                            range(1, 6))
-    assert stop is None
-    lines = list(tsv_rows(rows))
+    stop = []
+    lines = list(table_lines(odometer_filler(fhc_binary, Fraction(1, 5)),
+                             range(1, 6), stop))
+    assert stop == []
     assert lines[0][:3] == ("index", "delta", "eta")
     assert len(lines) == 6
-    assert dict(rows)[4]["gamma"] == (Fraction(4, 5), "brute-force")
+    row = dict(zip(lines[0], lines[4]))
+    assert row["index"] == "4" and row["gamma"] == "4/5"
+    assert "gamma=brute-force" in row["optimizers"].split(";")
 
 
 def test_table_rows_stop_at_the_first_budget():
     exc = CapExceeded("over budget")
+    filled = []
 
     def fill(cells, i):
+        filled.append(i)
         cells["b"] = (Fraction(i, 2), "two")
         cells["a"] = (i, "one")
         if i == 3:
             raise exc
         cells["c"] = (0.5, "three")
 
-    rows, stop = table_rows(fill, range(1, 10))
-    assert [i for i, _ in rows] == [1, 2, 3]
-    assert rows[2][1] == {"b": (Fraction(3, 2), "two"), "a": (3, "one")}
-    assert stop[0] == 3 and stop[1] is exc
-    lines = list(tsv_rows(rows))
-    assert lines[0] == ("index", "a", "b", "c", "optimizers")
-    assert lines[1] == ("1", "1", "1/2", "0.5", "a=one;b=two;c=three")
-    assert lines[3] == ("3", "3", "3/2", "", "a=one;b=two")
-    assert len(lines) == 4
+    stop = []
+    lines = table_lines(fill, range(1, 10), stop)
+    # each line goes out once its row is filled, before the next row
+    assert next(lines) == ("index", "a", "b", "c", "optimizers")
+    assert next(lines) == ("1", "1", "1/2", "0.5", "a=one;b=two;c=three")
+    assert filled == [1]
+    lines = list(lines)
+    assert filled == [1, 2, 3]
+    assert stop[0][0] == 3 and stop[0][1] is exc and len(stop) == 1
+    # the stopped row keeps the columns put before the stop
+    assert lines[1] == ("3", "3", "3/2", "", "a=one;b=two")
+    assert len(lines) == 2
 
 
 def test_table_rows_skip_a_row_stopped_before_its_first_column():
@@ -405,9 +412,11 @@ def test_table_rows_skip_a_row_stopped_before_its_first_column():
             raise CapExceeded("over budget")
         cells["a"] = (i, "one")
 
-    rows, stop = table_rows(fill, range(1, 4))
-    assert rows == [(1, {"a": (1, "one")}), (2, {})] and stop[0] == 2
-    assert list(tsv_rows(rows)) == [("index", "a", "optimizers"),
-                                    ("1", "1", "a=one")]
-    rows, stop = table_rows(fill, range(2, 4))
-    assert list(tsv_rows(rows)) == [("index", "optimizers")]
+    stop = []
+    assert list(table_lines(fill, range(1, 4), stop)) == [
+        ("index", "a", "optimizers"), ("1", "1", "a=one")]
+    assert stop[0][0] == 2
+    stop = []
+    assert list(table_lines(fill, range(2, 4), stop)) == [
+        ("index", "optimizers")]
+    assert stop[0][0] == 2

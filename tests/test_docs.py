@@ -1,9 +1,10 @@
 """README's tables and commands name exactly what the code registers."""
+import importlib
 import re
 import shlex
 from pathlib import Path
 
-from odolab import cli
+from odolab import cli, space
 from odolab.criteria import _RULES
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -43,3 +44,24 @@ def test_readme_command_block_parses_and_loads_its_specs():
         args = parser.parse_args(shlex.split(line)[1:])
         if getattr(args, "spec", None) is not None:
             cli.load_spec(args.spec)
+
+
+def test_readme_dotted_names_resolve():
+    # `module.name` for an odolab module, `Class.name` for a space class;
+    # other dotted names (`fractions.Fraction`) are not odolab's
+    modules = {p.stem for p in Path(cli.__file__).parent.glob("[!_]*.py")}
+    checked, missing = 0, []
+    for name in sorted(set(re.findall(r"`([A-Za-z_]\w*(?:\.\w+)+)`", README))):
+        head, *rest = name.split(".")
+        if head in modules:
+            obj = importlib.import_module(f"odolab.{head}")
+        elif isinstance(getattr(space, head, None), type):
+            obj = getattr(space, head)
+        else:
+            continue
+        checked += 1
+        for part in rest:
+            obj = getattr(obj, part, None)
+        if obj is None:
+            missing.append(name)
+    assert checked and missing == []

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 import types
 from fractions import Fraction
 
@@ -213,6 +214,32 @@ def test_cli_malformed_config_exits_two(tmp_path, capsys, cfg, reason):
                  "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err == f"bad spec: {reason}\n"
     assert not list(tmp_path.glob("sequences-*"))
+
+
+@pytest.mark.parametrize("cfg,reason", [
+    ({"kind": "odometer",
+      "alphabet": {"family": "affine", "params": {"a": -1, "b": 5}},
+      "measure": {"family": "uniform", "params": {}}},
+     "alphabet rule produced m_4=1 < 2"),
+    ({"kind": "odometer",
+      "alphabet": {"family": "cycle-range", "params": {"lo": 2, "hi": 3}},
+      "measure": {"family": "same", "params": {"weights": ["1/2", "1/2"]}}},
+     "alphabet size does not match the fixed vector"),
+], ids=["affine-m4-is-1", "same-vector-on-m2-3"])
+@pytest.mark.parametrize("command", [
+    "sequences", "classify", "norms", "orbit", "witness --name fhc",
+    "witness --name src"])
+def test_cli_spec_error_past_the_first_coordinate_exits_two(
+        tmp_path, capsys, cfg, reason, command):
+    # coordinate 1 is valid, so the spec loads and the command breaks on a
+    # later coordinate; a sequences table cut short leaves no TSV
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(cfg))
+    name, *flags = command.split()
+    out = tmp_path / "out"
+    assert main([name, f"@{path}", *flags, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"bad spec: {reason}\n"
+    assert not list(out.rglob("*.*"))
 
 
 @pytest.mark.parametrize("argv", [
@@ -444,6 +471,21 @@ def test_cli_sequences_trans_mixing_ends(tmp_path, capsys):
     assert time.perf_counter() - start < 10
     assert code == 0
     assert capsys.readouterr().out.startswith("beta table stopped at i = ")
+
+
+def test_cli_sequences_keeps_no_table(tmp_path, capsys):
+    # each row goes out as it is filled and at most SOLVED_ROWS solved rows
+    # are kept, so the traced peak of an 8,000-row table stays small: a
+    # table held until it is written takes over 8 MiB here
+    import odolab.criteria  # noqa: F401  (not part of the command's peak)
+    tracemalloc.start()
+    try:
+        assert main(["sequences", "binary-alpha(1/4)", "--horizon", "8000",
+                     "--out", str(tmp_path)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
 
 
 def test_cli_ufhc_count_stops_at_the_sweep_budget(tmp_path, capsys):

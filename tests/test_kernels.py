@@ -23,7 +23,7 @@ from odolab.criteria import (GAMMA_BRUTE_CAP, _alpha, _alpha_value,
                              alpha_shift, alpha_shift_witness,
                              beta_sup, disjoint_shift_set_zplus,
                              gamma_tilde_witness, gamma_witness, kappa,
-                             odometer_filler, omega, table_rows, theta,
+                             odometer_filler, omega, table_lines, theta,
                              theta_witness)
 from odolab.errors import CapExceeded
 from odolab.scalars import integer_view
@@ -535,14 +535,22 @@ def test_odometer_table_matches_per_index_calls(pool, data, kappa_param):
     ]
     for spec in specs:
         indices = range(1, 3 * len(picks) + 1)
-        with mock.patch.object(criteria, "_kappa_value",
-                               side_effect=criteria._kappa_value) as solve:
-            rows, stop = table_rows(odometer_filler(spec, kappa_param), indices)
-        assert stop is None and [i for i, _ in rows] == list(indices)
         # each distinct row is solved once
-        assert solve.call_count == len({criteria._weights(spec, i)
-                                        for i in indices})
-        assert_cells_match(rows, per_index_table(spec, indices, kappa_param))
+        assert kappa_solves(spec, indices, kappa_param) == len(
+            {criteria._weights(spec, i) for i in indices})
+
+
+def table_cells(spec, indices, kappa_param):
+    """The (index, cells) rows odometer_filler fills as table_lines runs it
+    to the end, with one line per row after the header."""
+    fill, rows, stop = odometer_filler(spec, kappa_param), [], []
+
+    def keep(cells, i):
+        fill(cells, i)
+        rows.append((i, cells))
+    assert len(list(table_lines(keep, indices, stop))) == len(indices) + 1
+    assert stop == []
+    return rows
 
 
 def assert_cells_match(rows, want):
@@ -555,26 +563,36 @@ def assert_cells_match(rows, want):
             assert same(got, value) and got_tag == tag, (name, i)
 
 
-def test_solved_rows_stay_within_the_vector_cap(monkeypatch):
-    # alphabets 2..9 on a cycle: 44 symbols of distinct rows per cycle.  Over
-    # three cycles each row is solved once, unless a cap of 40 symbols makes
-    # the kept rows start over within every cycle and rows are solved again.
+def kappa_solves(spec, indices, kappa_param=Fraction(1, 5)):
+    """How many rows a table over indices solves; every cell must equal the
+    per-index oracle's."""
+    with mock.patch.object(criteria, "_kappa_value",
+                           side_effect=criteria._kappa_value) as solve:
+        rows = table_cells(spec, indices, kappa_param)
+    assert_cells_match(rows, per_index_table(spec, indices, kappa_param))
+    return solve.call_count
+
+
+def test_solved_rows_keep_the_most_recent(monkeypatch):
+    # alphabets 2..9 on a cycle: 8 distinct rows, each back after 8 indices.
+    # Over three cycles each row is solved once, unless the store keeps
+    # fewer than 8 rows: then every row has left it before it comes back.
     spec = SystemSpec(kind="odometer",
                       alphabet=AlphabetRule("cycle-range", {"lo": 2, "hi": 9}),
                       measure=BySizeMeasure([row(list(range(1, m + 1)), False)
                                              for m in range(2, 10)]))
     indices = range(1, 3 * 8 + 1)
-    want = per_index_table(spec, indices, Fraction(1, 5))
+    assert kappa_solves(spec, indices) == 8
+    monkeypatch.setattr(criteria, "SOLVED_ROWS", 4)
+    assert kappa_solves(spec, indices) == len(indices) == 24
 
-    def solves():
-        with mock.patch.object(criteria, "_kappa_value",
-                               side_effect=criteria._kappa_value) as solve:
-            rows, stop = table_rows(odometer_filler(spec, Fraction(1, 5)),
-                                    indices)
-        assert stop is None
-        assert_cells_match(rows, want)
-        return solve.call_count
 
-    assert solves() == 8
-    monkeypatch.setattr(criteria, "VECTOR_CAP", 40)
-    assert 8 < solves() <= len(indices)
+def test_solved_rows_drop_the_least_recently_used(monkeypatch):
+    # rows A B A C A D A E with two kept: A is used between every other
+    # row, so it stays and only the five distinct rows are solved (dropping
+    # the oldest inserted row instead would solve A twice)
+    a, b, c, d, e = (row(nums, False) for nums in
+                     ([1, 1], [1, 2], [1, 3], [1, 4], [1, 5]))
+    spec = listed_spec("odometer", [a, b, a, c, a, d, a, e])
+    monkeypatch.setattr(criteria, "SOLVED_ROWS", 2)
+    assert kappa_solves(spec, range(1, 9)) == 5
